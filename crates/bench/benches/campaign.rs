@@ -9,8 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use peachstar::campaign::{
-    Campaign, CampaignConfig, ConnectionCampaign, ConnectionConfig, SessionConfig, ShardConfig,
-    ShardedCampaign, TransportMode,
+    Campaign, CampaignConfig, RunOptions, SessionConfig, Topology, TransportMode,
 };
 use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig};
 use peachstar::strategy::StrategyKind;
@@ -72,13 +71,9 @@ fn bench_campaign_sharded(c: &mut Criterion) {
                             .executions(EXECUTIONS)
                             .rng_seed(7)
                             .sample_interval(500)
-                            .reset_interval(250);
-                        let report = ShardedCampaign::new(
-                            target.create(),
-                            config,
-                            ShardConfig::with_workers(workers),
-                        )
-                        .run();
+                            .reset_interval(250)
+                            .topology(Topology::sharded(workers));
+                        let report = Campaign::new(target.create(), config).run();
                         report.final_paths()
                     });
                 });
@@ -89,8 +84,8 @@ fn bench_campaign_sharded(c: &mut Criterion) {
 }
 
 /// Batched end-to-end throughput: the same campaigns as [`bench_campaign`]
-/// — identical config, identical reports for Peach — driven through
-/// `Engine::run_batched` with 250-packet windows. The delta against the
+/// — identical config, identical reports for Peach — driven through the
+/// batched window body with 250-packet slices. The delta against the
 /// unsuffixed entries is the pure dispatch amortisation: pooled packet
 /// arena instead of a fresh seed per execution, one (devirtualised)
 /// target call per window instead of per packet, and no per-execution
@@ -215,8 +210,11 @@ fn bench_campaign_checkpointed(c: &mut Criterion) {
                         .executions(EXECUTIONS)
                         .rng_seed(7)
                         .sample_interval(500);
-                    let report = Campaign::new(target.create(), config)
-                        .run_checkpointed(&checkpoint)
+                    let (report, _) = Campaign::new(target.create(), config)
+                        .run_with(RunOptions {
+                            checkpoint: Some(&checkpoint),
+                            ..RunOptions::default()
+                        })
                         .expect("checkpointed campaign");
                     report.final_paths()
                 });
@@ -271,13 +269,10 @@ fn bench_campaign_tcp(c: &mut Criterion) {
                     .executions(EXECUTIONS)
                     .rng_seed(7)
                     .sample_interval(500)
-                    .reset_interval(250);
-                let report = ConnectionCampaign::new(
-                    TargetId::Modbus.create(),
-                    config,
-                    ConnectionConfig::with_connections(4),
-                )
-                .run();
+                    .reset_interval(250)
+                    .transport(TransportMode::FramedTcp)
+                    .topology(Topology::sharded(4));
+                let report = Campaign::new(TargetId::Modbus.create(), config).run();
                 report.final_paths()
             });
         });
@@ -296,7 +291,13 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
         .executions(EXECUTIONS)
         .rng_seed(7)
         .sample_interval(500);
-    let (_, snapshot) = Campaign::new(TargetId::Modbus.create(), config).run_with_final_snapshot();
+    let (_, snapshot) = Campaign::new(TargetId::Modbus.create(), config)
+        .run_with(RunOptions {
+            capture_final: true,
+            ..RunOptions::default()
+        })
+        .expect("a capture-only campaign performs no fallible snapshot operations");
+    let snapshot = snapshot.expect("capture_final always yields a snapshot");
     let path = std::env::temp_dir().join(format!(
         "peachstar-bench-roundtrip-{}.snap",
         std::process::id()

@@ -28,9 +28,8 @@ use std::time::Instant;
 
 use peachstar::artifact::CrashArtifact;
 use peachstar::campaign::{
-    run_repetitions_shared, Campaign, CampaignConfig, CampaignReport, ConnectionCampaign,
-    ConnectionConfig, PhaseMask, ReconnectPolicy, SessionConfig, ShardConfig, ShardedCampaign,
-    TransportMode,
+    run_repetitions_shared, Campaign, CampaignConfig, CampaignReport, PhaseMask, ReconnectPolicy,
+    RunOptions, SessionConfig, Topology, TransportMode,
 };
 use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig, SnapshotError};
 use peachstar::stats::CoverageSeries;
@@ -1051,6 +1050,12 @@ fn build_config(
         }
         config = config.wire_chaos(chaos);
     }
+    // Connections are the sharded workers of a TCP campaign; parse-time
+    // validation keeps `--connections` and `--shards` exclusive.
+    let workers = options.connections.max(options.shards);
+    if workers >= 2 {
+        config = config.topology(Topology::sharded(workers));
+    }
     config.transport(options.transport)
 }
 
@@ -1105,13 +1110,6 @@ pub fn run(options: &CliOptions) -> Result<RunOutcome, String> {
 fn write_artifacts(dir: &Path, outcome: &RunOutcome) -> Result<Vec<PathBuf>, String> {
     let options = &outcome.options;
     let sample_interval = effective_sample_interval(options);
-    let sync_windows = if options.connections >= 2 {
-        Some(ConnectionConfig::with_connections(options.connections).sync_windows)
-    } else if options.shards >= 2 {
-        Some(ShardConfig::with_workers(options.shards).sync_windows)
-    } else {
-        None
-    };
     let chaos = chaos_config(options);
     let mut seen: BTreeSet<(TargetId, String)> = BTreeSet::new();
     let mut paths = Vec::new();
@@ -1127,7 +1125,7 @@ fn write_artifacts(dir: &Path, outcome: &RunOutcome) -> Result<Vec<PathBuf>, Str
                 let artifact = CrashArtifact::from_bug(
                     merged.target,
                     &config,
-                    sync_windows.map(|windows| windows as u64),
+                    config.topology.sync_windows(),
                     chaos,
                     bug,
                 );
@@ -1201,23 +1199,7 @@ fn run_inner(options: &CliOptions) -> Result<RunOutcome, String> {
                     return;
                 };
                 let config = build_config(options, item.strategy, item.seed, sample_interval);
-                let report = if options.connections >= 2 {
-                    ConnectionCampaign::new(
-                        make_target(options, item.target),
-                        config,
-                        ConnectionConfig::with_connections(options.connections),
-                    )
-                    .run()
-                } else if options.shards >= 2 {
-                    ShardedCampaign::new(
-                        make_target(options, item.target),
-                        config,
-                        ShardConfig::with_workers(options.shards),
-                    )
-                    .run()
-                } else {
-                    Campaign::new(make_target(options, item.target), config).run()
-                };
+                let report = Campaign::new(make_target(options, item.target), config).run();
                 results.lock().expect("results lock").push((item, report));
             });
         }
@@ -1259,8 +1241,7 @@ fn run_inner(options: &CliOptions) -> Result<RunOutcome, String> {
 }
 
 /// The `--checkpoint`/`--resume`/`--stop-after` path: exactly one campaign
-/// (parse-time validated), driven through the snapshot seams of
-/// [`Campaign`] or [`ShardedCampaign`].
+/// (parse-time validated), driven through [`Campaign::run_with`].
 fn run_checkpointable(
     options: &CliOptions,
     strategy: StrategyKind,
@@ -1283,6 +1264,8 @@ fn run_checkpointable(
         .map(|path| CheckpointConfig::new(path.clone(), options.checkpoint_every));
     let campaign_error = |error: SnapshotError| format!("checkpointable campaign: {error}");
 
+    let campaign = Campaign::new(make_target(options, target), config);
+
     // A controlled interruption: run to the first boundary at or past
     // --stop-after, persist the snapshot, and report where we stopped.
     if let Some(stop) = options.stop_after {
@@ -1290,39 +1273,15 @@ fn run_checkpointable(
             .checkpoint
             .as_ref()
             .expect("parse_args requires --checkpoint with --stop-after");
-        let snapshot = if options.connections >= 2 {
-            let campaign = ConnectionCampaign::new(
-                make_target(options, target),
-                config,
-                ConnectionConfig::with_connections(options.connections),
-            );
-            let boundary = first_boundary(&campaign.round_boundaries(), stop)?;
-            match &resumed {
-                Some(from) => campaign.resume_to_boundary(from, boundary),
-                None => campaign.run_to_boundary(boundary),
-            }
-            .map_err(campaign_error)?
-        } else if options.shards >= 2 {
-            let campaign = ShardedCampaign::new(
-                make_target(options, target),
-                config,
-                ShardConfig::with_workers(options.shards),
-            );
-            let boundary = first_boundary(&campaign.round_boundaries(), stop)?;
-            match &resumed {
-                Some(from) => campaign.resume_to_boundary(from, boundary),
-                None => campaign.run_to_boundary(boundary),
-            }
-            .map_err(campaign_error)?
-        } else {
-            let campaign = Campaign::new(make_target(options, target), config);
-            let boundary = first_boundary(&campaign.window_boundaries(), stop)?;
-            match &resumed {
-                Some(from) => campaign.resume_to_boundary(from, boundary),
-                None => campaign.run_to_boundary(boundary),
-            }
-            .map_err(campaign_error)?
-        };
+        let boundary = first_boundary(&campaign.boundaries(), stop)?;
+        let (_, snapshot) = campaign
+            .run_with(RunOptions {
+                resume: resumed.as_ref(),
+                stop_after: Some(boundary),
+                ..RunOptions::default()
+            })
+            .map_err(campaign_error)?;
+        let snapshot = snapshot.expect("a validated stop boundary always yields a snapshot");
         let stopped_at = snapshot.completed;
         snapshot
             .write_atomic(path)
@@ -1336,41 +1295,13 @@ fn run_checkpointable(
         });
     }
 
-    let report = if options.connections >= 2 {
-        let campaign = ConnectionCampaign::new(
-            make_target(options, target),
-            config,
-            ConnectionConfig::with_connections(options.connections),
-        );
-        match (&resumed, &checkpoint) {
-            (Some(from), Some(to)) => campaign.resume_checkpointed(from, to),
-            (Some(from), None) => campaign.resume(from),
-            (None, Some(to)) => campaign.run_checkpointed(to),
-            (None, None) => unreachable!("parse_args requires --checkpoint or --resume"),
-        }
-    } else if options.shards >= 2 {
-        let campaign = ShardedCampaign::new(
-            make_target(options, target),
-            config,
-            ShardConfig::with_workers(options.shards),
-        );
-        match (&resumed, &checkpoint) {
-            (Some(from), Some(to)) => campaign.resume_checkpointed(from, to),
-            (Some(from), None) => campaign.resume(from),
-            (None, Some(to)) => campaign.run_checkpointed(to),
-            (None, None) => unreachable!("parse_args requires --checkpoint or --resume"),
-        }
-    } else {
-        let campaign = Campaign::new(make_target(options, target), config);
-        match (&resumed, &checkpoint) {
-            (Some(from), Some(to)) => campaign.resume_checkpointed(from, to),
-            (Some(from), None) => campaign.resume(from),
-            (None, Some(to)) => campaign.run_checkpointed(to),
-            (None, None) => unreachable!("parse_args requires --checkpoint or --resume"),
-        }
-    }
-    .map_err(campaign_error)?;
-
+    let (report, _) = campaign
+        .run_with(RunOptions {
+            resume: resumed.as_ref(),
+            checkpoint: checkpoint.as_ref(),
+            ..RunOptions::default()
+        })
+        .map_err(campaign_error)?;
     let merged = MergedCampaign {
         target,
         strategy,
@@ -1427,35 +1358,14 @@ fn run_serve(
         None => None,
     };
 
-    let campaign_error = |error: SnapshotError| format!("supervised campaign: {error}");
-    let report = if options.connections >= 2 {
-        let campaign = ConnectionCampaign::new(
-            make_target(options, target),
-            config,
-            ConnectionConfig::with_connections(options.connections),
-        );
-        match &resumed {
-            Some(from) => campaign.resume_supervised(from, &checkpoint, &hooks),
-            None => campaign.run_supervised(&checkpoint, &hooks),
-        }
-    } else if options.shards >= 2 {
-        let campaign = ShardedCampaign::new(
-            make_target(options, target),
-            config,
-            ShardConfig::with_workers(options.shards),
-        );
-        match &resumed {
-            Some(from) => campaign.resume_supervised(from, &checkpoint, &hooks),
-            None => campaign.run_supervised(&checkpoint, &hooks),
-        }
-    } else {
-        let campaign = Campaign::new(make_target(options, target), config);
-        match &resumed {
-            Some(from) => campaign.resume_supervised(from, &checkpoint, &hooks),
-            None => campaign.run_supervised(&checkpoint, &hooks),
-        }
-    }
-    .map_err(campaign_error)?;
+    let (report, _) = Campaign::new(make_target(options, target), config)
+        .run_with(RunOptions {
+            resume: resumed.as_ref(),
+            checkpoint: Some(&checkpoint),
+            service: Some(&hooks),
+            ..RunOptions::default()
+        })
+        .map_err(|error| format!("supervised campaign: {error}"))?;
 
     if let Some(control) = control.as_mut() {
         control.shutdown();

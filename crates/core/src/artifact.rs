@@ -16,8 +16,8 @@
 //! The execution mode matters for Peach\*: a sharded campaign feeds the
 //! strategy its feedback at merge barriers, so its packet stream differs
 //! from the sequential one. The bundle therefore records the barrier width
-//! ([`CrashArtifact::sync_windows`]) and replay rebuilds the same topology
-//! (with a single worker — worker count is invariant anyway).
+//! of the recipe's [`Topology`] and replay rebuilds the same topology (with
+//! a single worker — worker count is invariant anyway).
 //!
 //! The wire format follows the conventions of [`snapshot`](crate::snapshot):
 //! magic + version header, tagged length-prefixed sections, little-endian
@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use peachstar_protocols::chaos::{ChaosConfig, ChaosTarget};
 use peachstar_protocols::{FaultKind, Target, TargetId};
 
-use crate::campaign::{BugRecord, Campaign, CampaignConfig, CampaignReport, ShardConfig, ShardedCampaign};
+use crate::campaign::{BugRecord, Campaign, CampaignConfig, CampaignReport, Topology};
 use crate::engine::{PhaseMask, SessionConfig};
 use crate::snapshot::{
     fault_kind_from_tag, fault_kind_tag, fnv1a, put_bytes, put_option_u64, put_section, put_str,
@@ -53,10 +53,9 @@ pub struct CrashArtifact {
     pub target: TargetId,
     /// The full campaign recipe. `executions` is the original budget; replay
     /// truncates it to [`first_execution`](CrashArtifact::first_execution).
+    /// The transport is always in-process and a sharded topology always has
+    /// one worker: neither changes what the campaign finds.
     pub config: CampaignConfig,
-    /// Merge-barrier width when the campaign was sharded (`None` for the
-    /// sequential driver). Part of the campaign semantics for Peach\*.
-    pub sync_windows: Option<u64>,
     /// Failure-injection policy when the target was chaos-wrapped.
     pub chaos: Option<ChaosConfig>,
     /// Kind of the recorded fault.
@@ -97,7 +96,9 @@ impl std::fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 impl CrashArtifact {
-    /// Builds the bundle for one bug of a finished campaign.
+    /// Builds the bundle for one bug of a finished campaign. `sync_windows`
+    /// is the merge-barrier width the campaign ran with (`None` for the
+    /// sequential driver); it sets the recipe's topology.
     #[must_use]
     pub fn from_bug(
         target: TargetId,
@@ -106,14 +107,16 @@ impl CrashArtifact {
         chaos: Option<ChaosConfig>,
         bug: &BugRecord,
     ) -> Self {
-        // Normalise the transport away: it is an operational knob the wire
-        // format does not serialise, and replay always runs in-process — a
-        // bug recorded over framed TCP reproduces identically there.
-        let config = config.transport(crate::engine::transport::TransportMode::InProcess);
+        // Normalise the operational knobs the wire format does not
+        // serialise: replay always runs in-process on one worker — a bug
+        // recorded over framed TCP or with N workers reproduces identically
+        // there.
+        let config = config
+            .transport(crate::engine::transport::TransportMode::InProcess)
+            .topology(topology_of(sync_windows));
         Self {
             target,
             config,
-            sync_windows,
             chaos,
             fault_kind: bug.fault.kind,
             site: bug.fault.site.to_string(),
@@ -163,7 +166,7 @@ impl CrashArtifact {
             }
             put_option_u64(buf, self.config.batch);
             put_option_u64(buf, self.config.exec_timeout);
-            put_option_u64(buf, self.sync_windows);
+            put_option_u64(buf, self.config.topology.sync_windows());
             match self.chaos {
                 Some(chaos) => {
                     put_u8(buf, 1);
@@ -210,47 +213,46 @@ impl CrashArtifact {
         if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let (target, config, sync_windows, chaos) =
-            read_section(&mut reader, SECTION_RECIPE, |section| {
-                let target_name = section.string()?;
-                let target = TargetId::parse(&target_name)
-                    .ok_or(SnapshotError::Corrupt("unknown target"))?;
-                let strategy = strategy_from_tag(section.u8()?)?;
-                let mut config = CampaignConfig::new(strategy);
-                config.executions = section.u64()?;
-                config.rng_seed = section.u64()?;
-                config.sample_interval = section.u64()?;
-                config.reset_interval = section.u64()?;
-                config.session = match section.u8()? {
-                    0 => None,
-                    1 => {
-                        let payload_packets = section.u64()?;
-                        let mask = section.u8()?;
-                        Some(SessionConfig::new(payload_packets).mutate(PhaseMask {
-                            handshake: mask & 1 != 0,
-                            payload: mask & 2 != 0,
-                            teardown: mask & 4 != 0,
-                        }))
-                    }
-                    _ => return Err(SnapshotError::Corrupt("session flag")),
-                };
-                config.batch = read_option_u64(section)?;
-                config.exec_timeout = read_option_u64(section)?;
-                let sync_windows = read_option_u64(section)?;
-                let chaos = match section.u8()? {
-                    0 => None,
-                    1 => Some(
-                        ChaosConfig::new(section.u64()?)
-                            .panic_every(section.u64()?)
-                            .hang_every(section.u64()?)
-                            .hang_ms(section.u64()?)
-                            .garbage_every(section.u64()?)
-                            .sites(section.u32()?),
-                    ),
-                    _ => return Err(SnapshotError::Corrupt("chaos flag")),
-                };
-                Ok((target, config, sync_windows, chaos))
-            })?;
+        let (target, config, chaos) = read_section(&mut reader, SECTION_RECIPE, |section| {
+            let target_name = section.string()?;
+            let target =
+                TargetId::parse(&target_name).ok_or(SnapshotError::Corrupt("unknown target"))?;
+            let strategy = strategy_from_tag(section.u8()?)?;
+            let mut config = CampaignConfig::new(strategy);
+            config.executions = section.u64()?;
+            config.rng_seed = section.u64()?;
+            config.sample_interval = section.u64()?;
+            config.reset_interval = section.u64()?;
+            config.session = match section.u8()? {
+                0 => None,
+                1 => {
+                    let payload_packets = section.u64()?;
+                    let mask = section.u8()?;
+                    Some(SessionConfig::new(payload_packets).mutate(PhaseMask {
+                        handshake: mask & 1 != 0,
+                        payload: mask & 2 != 0,
+                        teardown: mask & 4 != 0,
+                    }))
+                }
+                _ => return Err(SnapshotError::Corrupt("session flag")),
+            };
+            config.batch = read_option_u64(section)?;
+            config.exec_timeout = read_option_u64(section)?;
+            config.topology = topology_of(read_option_u64(section)?);
+            let chaos = match section.u8()? {
+                0 => None,
+                1 => Some(
+                    ChaosConfig::new(section.u64()?)
+                        .panic_every(section.u64()?)
+                        .hang_every(section.u64()?)
+                        .hang_ms(section.u64()?)
+                        .garbage_every(section.u64()?)
+                        .sites(section.u32()?),
+                ),
+                _ => return Err(SnapshotError::Corrupt("chaos flag")),
+            };
+            Ok((target, config, chaos))
+        })?;
         let (fault_kind, site, first_execution, packet, model) =
             read_section(&mut reader, SECTION_BUG, |section| {
                 let kind = fault_kind_from_tag(section.u8()?)?;
@@ -266,7 +268,6 @@ impl CrashArtifact {
         Ok(Self {
             target,
             config,
-            sync_windows,
             chaos,
             fault_kind,
             site,
@@ -319,15 +320,7 @@ impl CrashArtifact {
             executions: self.first_execution,
             ..self.config
         };
-        let target = self.create_target();
-        let report = match self.sync_windows {
-            Some(sync_windows) => {
-                let shard = ShardConfig::with_workers(1)
-                    .sync_windows(usize::try_from(sync_windows).unwrap_or(usize::MAX));
-                ShardedCampaign::new(target, config, shard).run()
-            }
-            None => Campaign::new(target, config).run(),
-        };
+        let report = Campaign::new(self.create_target(), config).run();
         // Sites are compared by text, not by interned pointer: native target
         // faults carry `&'static str` literals that never pass through the
         // intern table, so their pointers differ from the decoded copy.
@@ -349,6 +342,15 @@ impl CrashArtifact {
         }
         Ok(report)
     }
+}
+
+/// The single-worker topology a recorded barrier width stands for: sharded
+/// with that width, or sequential when the campaign had no barrier.
+fn topology_of(sync_windows: Option<u64>) -> Topology {
+    sync_windows.map_or(Topology::Sequential, |windows| Topology::Sharded {
+        workers: 1,
+        sync_windows: usize::try_from(windows).unwrap_or(usize::MAX),
+    })
 }
 
 /// Lowercases and replaces every non-alphanumeric run with one dash, so a

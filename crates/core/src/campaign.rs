@@ -3,10 +3,13 @@
 //!
 //! The per-execution work — reset policy, coverage merge, valuable-seed
 //! retention, bug dedup, series sampling, strategy feedback — lives behind
-//! the seams of the [`engine`](crate::engine) module; [`Campaign::run`] only
-//! assembles the standard engine and drives it. [`ShardedCampaign`]
-//! (re-exported from [`engine::shard`](crate::engine::shard)) runs the same
-//! seams with parallel workers.
+//! the seams of the [`engine`](crate::engine) module; [`Campaign`] only
+//! assembles the standard engine and drives it round by round. The
+//! configuration's [`Topology`] picks the driver: one sequential lane, or
+//! parallel workers behind a merge barrier
+//! ([`engine::shard`](crate::engine::shard)). Both share one boundary walk —
+//! resume and stop alignment, service publishing, checkpoint cadence, the
+//! final snapshot and the report.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -19,6 +22,7 @@ use peachstar_protocols::{DecodeSink, Fault, Target, WindowResults, WireChaos};
 use crate::corpus::PuzzleCorpus;
 use crate::engine::batch::{windows_for_policy, PacketArena};
 use crate::engine::session::session_setup;
+use crate::engine::shard::ShardPool;
 use crate::engine::{
     CampaignMonitor, CoverageObserver, Engine, Executor, Feedback, NewCoverageFeedback, Observer,
     ResetPolicy, Schedule, SessionPlan, StrategySchedule, TargetExecutor,
@@ -30,10 +34,68 @@ use crate::strategy::{
     GenerationStrategy, SemanticAwareConfig, SemanticAwareStrategy, StrategyKind, StrategyState,
 };
 
-pub use crate::engine::connections::{ConnectionCampaign, ConnectionConfig};
 pub use crate::engine::session::{PhaseMask, SessionConfig};
-pub use crate::engine::shard::{run_sharded, ShardConfig, ShardedCampaign};
 pub use crate::engine::transport::{ReconnectPolicy, TransportMode};
+
+/// How a campaign spreads its reset-aligned windows over execution lanes.
+///
+/// The topology decides where the campaign can pause — its
+/// [`boundaries`](Campaign::boundaries) — and, for Peach\*, when feedback
+/// reaches the strategy. It never decides *what* runs against which target
+/// state: every window starts from a reset either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Topology {
+    /// One lane: every execution is generated, run and fed back in turn
+    /// (or in [`batch`](CampaignConfig::batch)-sized slices), pausing at
+    /// every window.
+    #[default]
+    Sequential,
+    /// `workers` parallel lanes (see [`engine::shard`](crate::engine::shard)):
+    /// each round generates `sync_windows` windows, runs them on the workers
+    /// and reduces them at a merge barrier, where the campaign can pause.
+    ///
+    /// Under [`TransportMode::FramedTcp`] every worker owns one live
+    /// connection, so `workers` is the connection count (`--connections`).
+    Sharded {
+        /// Parallel workers (or live connections); at least 1. Operational
+        /// only: the report is identical for every worker count.
+        workers: usize,
+        /// Windows per round, the distance between two merge barriers; at
+        /// least 1. Part of the campaign semantics for Peach\*, which digests
+        /// valuable seeds at the barrier.
+        sync_windows: usize,
+    },
+}
+
+impl Topology {
+    /// Default number of windows between merge barriers.
+    pub const DEFAULT_SYNC_WINDOWS: usize = 8;
+
+    /// `workers` parallel workers (clamped to at least 1) with the default
+    /// barrier distance.
+    #[must_use]
+    pub fn sharded(workers: usize) -> Self {
+        Self::Sharded {
+            workers: workers.max(1),
+            sync_windows: Self::DEFAULT_SYNC_WINDOWS,
+        }
+    }
+
+    /// The merge-barrier width a snapshot is fingerprinted with: `None` for
+    /// the sequential driver.
+    #[must_use]
+    pub fn sync_windows(self) -> Option<u64> {
+        match self {
+            Self::Sequential => None,
+            Self::Sharded { sync_windows, .. } => Some(sync_windows.max(1) as u64),
+        }
+    }
+
+    /// Windows per round: the distance between two boundaries.
+    fn round_windows(self) -> usize {
+        self.sync_windows().map_or(1, |windows| windows as usize)
+    }
+}
 
 /// Configuration of one fuzzing campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,13 +120,14 @@ pub struct CampaignConfig {
     /// [`session_template`](peachstar_protocols::Target::session_template);
     /// sessionless targets fall back to the classic campaign.
     pub session: Option<SessionConfig>,
-    /// Execute in batched windows of at most this many packets
-    /// ([`Engine::run_batched`]) instead of the per-execution loop.
+    /// Execute in batched slices of at most this many packets
+    /// ([`engine::batch`](crate::engine::batch)) instead of the
+    /// per-execution loop.
     ///
     /// Batched Peach campaigns are bit-identical to sequential ones for any
     /// batch size; Peach\* receives feedback at batch ends, so its stream is
-    /// deterministic but barrier-fed like a sharded campaign's. Under a
-    /// [`ShardedCampaign`] this instead caps the per-worker dispatch chunk,
+    /// deterministic but barrier-fed like a sharded campaign's. Under
+    /// [`Topology::Sharded`] this instead caps the per-worker dispatch chunk,
     /// which never changes the report.
     pub batch: Option<u64>,
     /// Per-execution deadline in milliseconds (`--exec-timeout-ms`): each
@@ -120,6 +183,11 @@ pub struct CampaignConfig {
     /// so reports stay bit-identical and the field is deliberately excluded
     /// from the snapshot fingerprint.
     pub wire_chaos: WireChaos,
+    /// How the campaign spreads its windows over execution lanes
+    /// ([`Topology`]). The worker count is an operational knob; the barrier
+    /// width of [`Topology::Sharded`] is campaign semantics and enters the
+    /// snapshot fingerprint.
+    pub topology: Topology,
 }
 
 impl CampaignConfig {
@@ -141,6 +209,7 @@ impl CampaignConfig {
             transport: TransportMode::InProcess,
             reconnect: ReconnectPolicy::DEFAULT,
             wire_chaos: WireChaos::default(),
+            topology: Topology::Sequential,
         }
     }
 
@@ -224,6 +293,14 @@ impl CampaignConfig {
     #[must_use]
     pub fn wire_chaos(mut self, chaos: WireChaos) -> Self {
         self.wire_chaos = chaos;
+        self
+    }
+
+    /// Selects the execution topology (see
+    /// [`topology`](CampaignConfig::topology)).
+    #[must_use]
+    pub fn topology(mut self, topology: Topology) -> Self {
+        self.topology = topology;
         self
     }
 }
@@ -374,13 +451,35 @@ impl Campaign {
     #[must_use]
     pub fn run(self) -> CampaignReport {
         let (report, _) = self
-            .launch(DriveOptions::default())
+            .run_with(RunOptions::default())
             .expect("a plain campaign performs no fallible snapshot operations");
         report
     }
 
+    /// Runs under service supervision: rolling checkpoints per `checkpoint`,
+    /// live progress published to `hooks` at every boundary, and a graceful
+    /// stop ([`ServiceHooks::request_stop`]) that finishes the current round,
+    /// writes a final checkpoint, and returns early — the report's
+    /// `executions` then names the boundary the campaign stopped at.
+    ///
+    /// # Errors
+    ///
+    /// Propagates checkpoint write failures.
+    pub fn run_supervised(
+        self,
+        checkpoint: &CheckpointConfig,
+        hooks: &ServiceHooks,
+    ) -> Result<CampaignReport, SnapshotError> {
+        self.run_with(RunOptions {
+            checkpoint: Some(checkpoint),
+            service: Some(hooks),
+            ..RunOptions::default()
+        })
+        .map(|(report, _)| report)
+    }
+
     /// The reset policy this campaign will run under — the same derivation
-    /// [`run`](Campaign::run) performs, exposed so checkpoint alignment can
+    /// [`run_with`](Campaign::run_with) performs, exposed so boundaries can
     /// be computed without consuming the campaign.
     fn policy(&self) -> ResetPolicy {
         let session = self
@@ -395,156 +494,41 @@ impl Campaign {
         }
     }
 
-    /// The reset-aligned window boundaries of this campaign, ascending; the
-    /// last is always the execution budget. These are the only executions a
-    /// checkpoint can land on ([`run_to_boundary`](Campaign::run_to_boundary)
-    /// rejects anything else with [`SnapshotError::Unaligned`]).
+    /// The executions this campaign can pause at, ascending; the last is
+    /// always the execution budget. Sequentially these are the ends of the
+    /// reset-aligned windows; sharded they are the merge barriers, which
+    /// depend on the barrier width but not on the worker count, so a
+    /// snapshot taken with N workers resumes with any other count.
+    ///
+    /// Checkpoints, [`stop_after`](RunOptions::stop_after) and resumed
+    /// snapshots must land here; [`run_with`](Campaign::run_with) rejects
+    /// anything else with [`SnapshotError::Unaligned`].
     #[must_use]
-    pub fn window_boundaries(&self) -> Vec<u64> {
-        windows_for_policy(self.config.executions, self.policy())
-            .iter()
-            .map(|&(_, end)| end)
-            .collect()
+    pub fn boundaries(&self) -> Vec<u64> {
+        let windows = windows_for_policy(self.config.executions, self.policy());
+        round_ends(&windows, self.config.topology)
     }
 
-    /// Runs the campaign to completion, writing a checkpoint to
-    /// `checkpoint.path` every `checkpoint.every_windows` windows (and at
-    /// the final one).
-    pub fn run_checkpointed(
-        self,
-        checkpoint: &CheckpointConfig,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            checkpoint: Some(checkpoint),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Runs the campaign up to (and including) execution `stop_after` —
-    /// which must be one of [`window_boundaries`](Campaign::window_boundaries)
-    /// — and returns the snapshot taken there. Resuming that snapshot with
-    /// [`resume`](Campaign::resume) produces a report bit-identical to an
-    /// uninterrupted [`run`](Campaign::run).
-    pub fn run_to_boundary(self, stop_after: u64) -> Result<CampaignSnapshot, SnapshotError> {
-        let (_, snapshot) = self.launch(DriveOptions {
-            stop_after: Some(stop_after),
-            ..DriveOptions::default()
-        })?;
-        Ok(snapshot.expect("a validated stop boundary always yields a snapshot"))
-    }
-
-    /// Runs the campaign to completion and also returns the final-state
-    /// snapshot — the entry point shared-corpus repetitions use to harvest
-    /// the finished corpus.
-    #[must_use]
-    pub fn run_with_final_snapshot(self) -> (CampaignReport, CampaignSnapshot) {
-        let (report, snapshot) = self
-            .launch(DriveOptions {
-                capture_final: true,
-                ..DriveOptions::default()
-            })
-            .expect("a capture-only campaign performs no fallible snapshot operations");
-        (
-            report,
-            snapshot.expect("capture_final always yields a snapshot"),
-        )
-    }
-
-    /// Resumes a snapshotted campaign to completion. The campaign must be
-    /// configured identically to the one that produced the snapshot
-    /// ([`SnapshotMeta::ensure_matches`] is enforced), and the resumed
-    /// report is bit-identical to the uninterrupted run's.
-    pub fn resume(self, snapshot: &CampaignSnapshot) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            resume: Some(snapshot),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Resumes a snapshotted campaign to completion while continuing to
-    /// write periodic checkpoints — the `--resume` + `--checkpoint` CLI
-    /// path. The checkpoint cadence counts absolute windows from the start
-    /// of the campaign, so an interrupted-and-resumed run checkpoints at
-    /// the same boundaries as an uninterrupted one.
-    pub fn resume_checkpointed(
-        self,
-        snapshot: &CampaignSnapshot,
-        checkpoint: &CheckpointConfig,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            resume: Some(snapshot),
-            checkpoint: Some(checkpoint),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Resumes a snapshot and stops again at a later window boundary —
-    /// lets a campaign be carried across any number of interruptions.
-    pub fn resume_to_boundary(
-        self,
-        snapshot: &CampaignSnapshot,
-        stop_after: u64,
-    ) -> Result<CampaignSnapshot, SnapshotError> {
-        let (_, out) = self.launch(DriveOptions {
-            resume: Some(snapshot),
-            stop_after: Some(stop_after),
-            ..DriveOptions::default()
-        })?;
-        Ok(out.expect("a validated stop boundary always yields a snapshot"))
-    }
-
-    /// Runs under service supervision: like
-    /// [`run_checkpointed`](Campaign::run_checkpointed), but live progress is
-    /// published to `hooks` at every window boundary and a graceful stop
-    /// ([`ServiceHooks::request_stop`]) finishes the current window, writes a
-    /// final checkpoint, and returns early — the report's `executions` then
-    /// names the boundary the campaign stopped at.
+    /// Runs the campaign under `options`: plain, resumed from a snapshot,
+    /// checkpointed, stopped at a boundary, supervised as a service, or any
+    /// combination. Returns the report — covering the executions up to where
+    /// the run ended — plus the snapshot taken there when
+    /// [`stop_after`](RunOptions::stop_after) or
+    /// [`capture_final`](RunOptions::capture_final) asked for one.
+    ///
+    /// A resumed run's report is bit-identical to the uninterrupted run's:
+    /// every boundary is an execution the reset policy wipes the target
+    /// before, so no target state needs saving.
     ///
     /// # Errors
     ///
-    /// Propagates checkpoint write failures.
-    pub fn run_supervised(
+    /// Rejects a snapshot whose fingerprint differs from this campaign's
+    /// ([`SnapshotMeta::ensure_matches`]), resume and stop points off the
+    /// [`boundaries`](Campaign::boundaries), and a stop at or before the
+    /// resume point; propagates checkpoint write failures.
+    pub fn run_with(
         self,
-        checkpoint: &CheckpointConfig,
-        hooks: &ServiceHooks,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            checkpoint: Some(checkpoint),
-            service: Some(hooks),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Resumes a snapshot under service supervision (see
-    /// [`run_supervised`](Campaign::run_supervised)).
-    ///
-    /// # Errors
-    ///
-    /// Rejects mismatched snapshots; propagates checkpoint write failures.
-    pub fn resume_supervised(
-        self,
-        snapshot: &CampaignSnapshot,
-        checkpoint: &CheckpointConfig,
-        hooks: &ServiceHooks,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            resume: Some(snapshot),
-            checkpoint: Some(checkpoint),
-            service: Some(hooks),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Dispatches to the session-shaped or classic engine and drives it
-    /// window by window under the given snapshot options.
-    fn launch(
-        self,
-        opts: DriveOptions<'_>,
+        options: RunOptions<'_>,
     ) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
         let started = Instant::now();
         let Self {
@@ -570,85 +554,148 @@ impl Campaign {
         match session {
             Some((session_opts, template)) => {
                 let (policy, schedule) = session_setup(session_opts, template, strategy);
-                drive_engine(target, policy, &config, schedule, started, meta, opts)
+                launch(target, policy, &config, schedule, started, meta, options)
             }
-            None => drive_engine(
+            None => launch(
                 target,
                 ResetPolicy::Interval(config.reset_interval),
                 &config,
                 StrategySchedule::new(strategy),
                 started,
                 meta,
-                opts,
+                options,
             ),
         }
     }
 }
 
-/// Snapshot-related options of one engine drive. The default (all `None`,
-/// no capture) is a plain uninterrupted campaign. Shared by the sequential
-/// and the sharded driver.
+/// What a [`Campaign::run_with`] drive does besides running the campaign.
+/// The default is a plain, uninterrupted run.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct DriveOptions<'a> {
+pub struct RunOptions<'a> {
     /// Restore this snapshot before executing anything, then skip every
-    /// window it already covers.
-    pub(crate) resume: Option<&'a CampaignSnapshot>,
-    /// Write periodic checkpoints (cadence counts absolute windows from the
-    /// campaign start, so it is invariant under interruption).
-    pub(crate) checkpoint: Option<&'a CheckpointConfig>,
-    /// Stop after the window (or, sharded, the round) ending exactly here
-    /// and return its snapshot.
-    pub(crate) stop_after: Option<u64>,
+    /// round it already covers.
+    pub resume: Option<&'a CampaignSnapshot>,
+    /// Write periodic checkpoints: at every boundary that completes
+    /// `every_windows` more windows, counted from the campaign start so the
+    /// cadence survives interruption, plus at the last boundary and
+    /// wherever the run stops.
+    pub checkpoint: Option<&'a CheckpointConfig>,
+    /// Stop after the boundary ending exactly here and return its snapshot.
+    pub stop_after: Option<u64>,
     /// Capture (and return) a snapshot of the completed campaign.
-    pub(crate) capture_final: bool,
+    pub capture_final: bool,
     /// Service supervision: publish live status at every boundary and honor
-    /// graceful-stop requests there (the stop finishes the current window
-    /// and writes a final checkpoint, like a dynamic `stop_after`).
-    pub(crate) service: Option<&'a ServiceHooks>,
+    /// graceful-stop requests there (the stop finishes the current round and
+    /// writes a final checkpoint, like a dynamic `stop_after`).
+    pub service: Option<&'a ServiceHooks>,
 }
 
-/// Drives the assembled engine window by window and folds the seams into a
-/// [`CampaignReport`]. Generic over the schedule so both the classic and
-/// the session-shaped campaign stay fully monomorphised.
-///
-/// The window walk replicates [`Engine::run`] / [`Engine::run_batched`]
-/// exactly — same windows, same RNG stream, same reduce order — it only adds
-/// pause points between windows, which is what makes a checkpoint taken at a
-/// window boundary resume bit-exactly: every boundary is an execution the
-/// reset policy wipes the target before, so no target state needs saving.
-fn drive_engine<S: Schedule>(
+/// The last execution of every round — the campaign's boundaries.
+fn round_ends(windows: &[(u64, u64)], topology: Topology) -> Vec<u64> {
+    windows
+        .chunks(topology.round_windows())
+        .filter_map(|round| round.last().map(|&(_, end)| end))
+        .collect()
+}
+
+/// The engine seams every driver shares, around a driver-specific executor.
+type Seams<X, S> = Engine<X, CoverageObserver, NewCoverageFeedback, CampaignMonitor, S>;
+
+/// Fresh seams for a campaign of `config` around `executor`.
+fn seams<X, S>(executor: X, config: &CampaignConfig, schedule: S) -> Seams<X, S> {
+    Engine {
+        executor,
+        observer: CoverageObserver::new(),
+        feedback: NewCoverageFeedback::new(),
+        monitor: CampaignMonitor::new(config.executions, config.sample_interval),
+        schedule,
+    }
+}
+
+/// Assembles the topology's driver and walks it through the shared boundary
+/// bookkeeping. Generic over the schedule so both the classic and the
+/// session-shaped campaign stay fully monomorphised.
+fn launch<S: Schedule>(
     target: Box<dyn Target>,
     policy: ResetPolicy,
     config: &CampaignConfig,
     schedule: S,
     started: Instant,
     meta: SnapshotMeta,
-    opts: DriveOptions<'_>,
+    options: RunOptions<'_>,
 ) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
     let windows = windows_for_policy(config.executions, policy);
-    let mut rng = SmallRng::seed_from_u64(config.rng_seed);
-    let mut executor = TargetExecutor::with_policy(target, policy);
-    if let Some(millis) = config.exec_timeout {
-        executor = executor.with_deadline(Duration::from_millis(millis));
+    match config.topology {
+        Topology::Sequential => {
+            let mut executor = TargetExecutor::with_policy(target, policy);
+            if let Some(millis) = config.exec_timeout {
+                executor = executor.with_deadline(Duration::from_millis(millis));
+            }
+            if config.summary_only {
+                executor = executor.with_sink(DecodeSink::Summary);
+            }
+            let models = executor.data_models();
+            let mut arena = PacketArena::default();
+            let mut results = WindowResults::new();
+            let run_round = |engine: &mut Seams<TargetExecutor, S>,
+                             round: &[(u64, u64)],
+                             rng: &mut SmallRng| {
+                for &(start, end) in round {
+                    match config.batch {
+                        Some(batch) => engine.run_window_batched(
+                            start,
+                            end,
+                            batch,
+                            &models,
+                            rng,
+                            &mut arena,
+                            &mut results,
+                        ),
+                        None => engine.run_span(start, end, &models, rng),
+                    }
+                }
+            };
+            let engine = seams(executor, config, schedule);
+            drive(engine, &windows, config, meta, options, started, run_round)
+        }
+        Topology::Sharded { workers, .. } => {
+            let models = target.data_models();
+            let pool = ShardPool::new(target, workers, config);
+            let run_round =
+                |engine: &mut Seams<ShardPool, S>, round: &[(u64, u64)], rng: &mut SmallRng| {
+                    engine.run_round(round, &models, rng);
+                };
+            let engine = seams(pool, config, schedule);
+            drive(engine, &windows, config, meta, options, started, run_round)
+        }
     }
-    if config.summary_only {
-        executor = executor.with_sink(DecodeSink::Summary);
-    }
-    let mut engine = Engine {
-        executor,
-        observer: CoverageObserver::new(),
-        feedback: NewCoverageFeedback::new(),
-        monitor: CampaignMonitor::new(config.executions, config.sample_interval),
-        schedule,
-    };
-    let models = engine.executor.data_models();
+}
 
-    let resumed_from = match opts.resume {
+/// Walks the campaign round by round — one window per round sequentially,
+/// `sync_windows` per round sharded — and does the per-boundary bookkeeping
+/// both drivers share: resume and stop alignment, service publishing,
+/// checkpoint cadence and the stop decision, the final snapshot, and the
+/// [`CampaignReport`].
+///
+/// Boundaries are the only pause points: there the campaign RNG, the
+/// strategy feedback and the global coverage are fully synchronised, and no
+/// target holds state a resume needs (every window begins with a reset).
+fn drive<X, S: Schedule>(
+    mut engine: Seams<X, S>,
+    windows: &[(u64, u64)],
+    config: &CampaignConfig,
+    meta: SnapshotMeta,
+    options: RunOptions<'_>,
+    started: Instant,
+    mut run_round: impl FnMut(&mut Seams<X, S>, &[(u64, u64)], &mut SmallRng),
+) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
+    let boundaries = round_ends(windows, config.topology);
+    let mut rng = SmallRng::seed_from_u64(config.rng_seed);
+    let resumed_from = match options.resume {
         Some(snapshot) => {
             snapshot.meta.ensure_matches(&meta)?;
-            if snapshot.completed != 0
-                && !windows.iter().any(|&(_, end)| end == snapshot.completed)
-            {
+            if snapshot.completed != 0 && !boundaries.contains(&snapshot.completed) {
                 return Err(SnapshotError::Unaligned(snapshot.completed));
             }
             engine.restore(snapshot, &mut rng)?;
@@ -656,42 +703,29 @@ fn drive_engine<S: Schedule>(
         }
         None => 0,
     };
-    if let Some(stop) = opts.stop_after {
-        if stop <= resumed_from || !windows.iter().any(|&(_, end)| end == stop) {
+    if let Some(stop) = options.stop_after {
+        if stop <= resumed_from || !boundaries.contains(&stop) {
             return Err(SnapshotError::Unaligned(stop));
         }
     }
-
-    if let Some(checkpoint) = opts.checkpoint {
+    if let Some(checkpoint) = options.checkpoint {
         checkpoint.prepare()?;
     }
 
-    let mut arena = PacketArena::default();
-    let mut results = WindowResults::new();
     let mut out_snapshot = None;
     let mut completed = resumed_from;
-    for (index, &(start, end)) in windows.iter().enumerate() {
+    let mut windows_done = 0u64;
+    for round in windows.chunks(config.topology.round_windows()) {
+        let windows_before = windows_done;
+        windows_done += round.len() as u64;
+        let end = round.last().map_or(0, |&(_, end)| end);
         if end <= resumed_from {
             continue;
         }
-        match config.batch {
-            // The batched body generates, executes and reduces the window
-            // exactly as Engine::run_batched would (tests/batch_equivalence.rs
-            // pins the Peach bit-equivalence).
-            Some(batch) => engine.run_window_batched(
-                start,
-                end,
-                batch,
-                &models,
-                &mut rng,
-                &mut arena,
-                &mut results,
-            ),
-            None => engine.run_span(start, end, &models, &mut rng),
-        }
+        run_round(&mut engine, round, &mut rng);
         completed = end;
 
-        if let Some(service) = opts.service {
+        if let Some(service) = options.service {
             service.observe(
                 end,
                 engine.observer.paths_covered(),
@@ -699,22 +733,27 @@ fn drive_engine<S: Schedule>(
                 engine.monitor.bugs().len(),
             );
         }
-        let windows_done = (index + 1) as u64;
-        let final_window = end == config.executions;
-        let stop_here = opts.stop_after == Some(end)
-            || (!final_window && opts.service.is_some_and(ServiceHooks::stop_requested));
-        let write_checkpoint = opts.checkpoint.is_some_and(|checkpoint| {
-            windows_done.is_multiple_of(checkpoint.every_windows) || final_window || stop_here
+        // The cadence counts absolute windows from the campaign start — a
+        // checkpoint lands when a round crosses a multiple of
+        // `every_windows` — so it is invariant under interruption and worker
+        // count.
+        let final_round = end == config.executions;
+        let stop_here = options.stop_after == Some(end)
+            || (!final_round && options.service.is_some_and(ServiceHooks::stop_requested));
+        let write_checkpoint = options.checkpoint.is_some_and(|checkpoint| {
+            let every = checkpoint.every_windows.max(1);
+            windows_done / every > windows_before / every || final_round || stop_here
         });
-        if write_checkpoint || stop_here || (opts.capture_final && final_window) {
+        let capture_final = options.capture_final && final_round;
+        if write_checkpoint || stop_here || capture_final {
             let snapshot = engine.checkpoint(meta.clone(), end, &rng);
-            if let Some(checkpoint) = opts.checkpoint.filter(|_| write_checkpoint) {
+            if let Some(checkpoint) = options.checkpoint.filter(|_| write_checkpoint) {
                 checkpoint.store(&snapshot)?;
-                if let Some(service) = opts.service {
+                if let Some(service) = options.service {
                     service.checkpointed(end);
                 }
             }
-            if stop_here || (opts.capture_final && final_window) {
+            if stop_here || capture_final {
                 out_snapshot = Some(snapshot);
             }
         }
@@ -724,11 +763,10 @@ fn drive_engine<S: Schedule>(
     }
     // A zero-execution campaign (or a resume of an already-complete
     // snapshot) never enters the loop; capture the standing state directly.
-    if opts.capture_final && out_snapshot.is_none() {
-        out_snapshot = Some(engine.checkpoint(meta, completed, &rng));
+    if options.capture_final && out_snapshot.is_none() {
+        out_snapshot = Some(engine.checkpoint(meta.clone(), completed, &rng));
     }
 
-    let target = engine.executor.target_name().to_string();
     let (responses, protocol_errors, fault_hits) = (
         engine.monitor.responses(),
         engine.monitor.protocol_errors(),
@@ -736,7 +774,7 @@ fn drive_engine<S: Schedule>(
     );
     let (series, bugs) = engine.monitor.into_series_and_bugs();
     let report = CampaignReport {
-        target,
+        target: meta.target,
         strategy: config.strategy,
         executions: completed,
         series,
@@ -796,7 +834,13 @@ pub fn run_repetitions_shared(
             shared.clone(),
         ));
         let campaign = Campaign::with_strategy(make_target(), run_config, strategy);
-        let (report, snapshot) = campaign.run_with_final_snapshot();
+        let (report, snapshot) = campaign
+            .run_with(RunOptions {
+                capture_final: true,
+                ..RunOptions::default()
+            })
+            .expect("a capture-only campaign performs no fallible snapshot operations");
+        let snapshot = snapshot.expect("capture_final always yields a snapshot");
         if let StrategyState::PeachStar { corpus, .. } = &snapshot.schedule.strategy {
             shared.merge(corpus);
         }
@@ -951,6 +995,33 @@ mod tests {
         assert!(report.executions_per_second() > 0.0);
         let text = report.to_string();
         assert!(text.contains("exec/s"));
+    }
+
+    #[test]
+    fn topology_defaults() {
+        assert_eq!(
+            CampaignConfig::new(StrategyKind::Peach).topology,
+            Topology::Sequential
+        );
+        assert_eq!(Topology::default(), Topology::Sequential);
+        assert_eq!(Topology::Sequential.sync_windows(), None);
+        assert_eq!(
+            Topology::sharded(0),
+            Topology::Sharded {
+                workers: 1,
+                sync_windows: Topology::DEFAULT_SYNC_WINDOWS
+            }
+        );
+        let unclamped = Topology::Sharded {
+            workers: 4,
+            sync_windows: 0,
+        };
+        assert_eq!(unclamped.sync_windows(), Some(1));
+        assert_eq!(unclamped.round_windows(), 1);
+        assert_eq!(
+            Topology::sharded(4).round_windows(),
+            Topology::DEFAULT_SYNC_WINDOWS
+        );
     }
 
     #[test]

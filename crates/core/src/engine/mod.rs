@@ -22,16 +22,17 @@
 //! bit-identical to the pre-refactor implementation (`tests/pinned_report.rs`
 //! holds the proof). Three execution modes build on the same seams:
 //! [`batch`] amortises per-execution dispatch by running reset-aligned
-//! windows through one [`Executor::execute_window`] call each
-//! ([`Engine::run_batched`]), [`shard`] executes those windows on parallel
-//! workers with a deterministic merge barrier, and [`session`] builds
-//! stateful session fuzzing (handshake → mutated payload → teardown, with
-//! session-scoped resets) on the [`Schedule`] and [`Executor`] seams.
+//! windows through one [`Executor::execute_window`] call each, [`shard`]
+//! executes those windows on parallel workers with a deterministic merge
+//! barrier, and [`session`] builds stateful session fuzzing (handshake →
+//! mutated payload → teardown, with session-scoped resets) on the
+//! [`Schedule`] and [`Executor`] seams. The campaign's
+//! [`Topology`](crate::campaign::Topology) picks between the sequential and
+//! the sharded driver.
 //!
 //! [`TraceContext`]: peachstar_coverage::TraceContext
 
 pub mod batch;
-pub mod connections;
 pub mod executor;
 pub mod monitor;
 pub mod observer;
@@ -41,19 +42,19 @@ pub mod shard;
 pub(crate) mod supervisor;
 pub mod transport;
 
-pub use connections::{ConnectionCampaign, ConnectionConfig};
 pub use executor::{Executor, ResetPolicy, TargetExecutor};
 pub use monitor::{CampaignMonitor, Monitor, MonitorState, OutcomeSummary};
 pub use observer::{CoverageObserver, Feedback, NewCoverageFeedback, Observer};
 pub use schedule::{FeedbackEvent, Schedule, ScheduleState, StrategySchedule};
 pub use session::{PhaseMask, SessionConfig, SessionPlan, SessionSchedule};
-pub use shard::{run_sharded, ShardConfig, ShardedCampaign};
 pub use transport::{error_class, FramedTcpTarget, ReconnectPolicy, TransportMode};
 
+use peachstar_coverage::SparseTrace;
 use peachstar_datamodel::DataModelSet;
 use rand::rngs::SmallRng;
 
 use crate::snapshot::{CampaignSnapshot, SnapshotError, SnapshotMeta};
+use crate::strategy::GeneratedPacket;
 
 /// The assembled fuzzing engine: one instance of every seam.
 ///
@@ -114,14 +115,8 @@ where
         );
     }
 
-    /// Runs executions `1..=budget` through [`step`](Engine::step).
-    pub fn run(&mut self, budget: u64, models: &DataModelSet, rng: &mut SmallRng) {
-        self.run_span(1, budget, models, rng);
-    }
-
     /// Runs executions `start..=end` (1-based, inclusive) through
-    /// [`step`](Engine::step) — the window body of the sequential engine,
-    /// used by the checkpointing campaign driver to pause between windows.
+    /// [`step`](Engine::step) — the window body of the sequential driver.
     pub(crate) fn run_span(&mut self, start: u64, end: u64, models: &DataModelSet, rng: &mut SmallRng) {
         for execution in start..=end {
             self.step(execution, models, rng);
@@ -129,7 +124,48 @@ where
     }
 }
 
-impl<S: Schedule> Engine<TargetExecutor, CoverageObserver, NewCoverageFeedback, CampaignMonitor, S> {
+impl<X, O, F, M, S> Engine<X, O, F, M, S>
+where
+    O: Observer,
+    F: Feedback,
+    M: Monitor,
+    S: Schedule,
+{
+    /// Folds one buffered execution result through the seams in
+    /// [`step`](Engine::step)'s order — the reduce phase of the batched and
+    /// the sharded driver, which generate and execute ahead of it.
+    pub(crate) fn reduce(
+        &mut self,
+        execution: u64,
+        packet: &GeneratedPacket,
+        summary: OutcomeSummary,
+        trace: &SparseTrace,
+        models: &DataModelSet,
+    ) {
+        self.monitor.record(execution, packet, summary);
+        let merge = self.observer.merge_sparse(trace);
+        let valuable = self.feedback.is_interesting(&merge);
+        self.schedule.feedback(&FeedbackEvent {
+            execution,
+            packet,
+            valuable,
+            merge: &merge,
+            models,
+        });
+        if valuable {
+            // The packet stays with its buffer (the batched arena reuses its
+            // slots), so retention clones the rare valuable packet.
+            self.feedback.retain(packet.clone(), &merge);
+        }
+        self.monitor.sample(
+            execution,
+            self.observer.paths_covered(),
+            self.observer.edges_covered(),
+        );
+    }
+}
+
+impl<X, S: Schedule> Engine<X, CoverageObserver, NewCoverageFeedback, CampaignMonitor, S> {
     /// Captures a [`CampaignSnapshot`] of the engine's resumable state.
     ///
     /// `completed` must be a reset-aligned window boundary: the target's
@@ -188,7 +224,7 @@ mod tests {
             schedule: StrategySchedule::new(StrategyKind::PeachStar.create()),
         };
         let mut rng = SmallRng::seed_from_u64(3);
-        engine.run(1_000, &models, &mut rng);
+        engine.run_span(1, 1_000, &models, &mut rng);
 
         assert!(engine.observer.paths_covered() > 0);
         assert!(engine.feedback.retained() > 0);

@@ -41,10 +41,10 @@
 //! Only when the retry budget is exhausted does the target panic — with a
 //! stable, attempt-count-free message that carries the error class
 //! ("connection-refused" dedups apart from "connection-reset"), so the
-//! executor's containment records one bug per failure class and
-//! [`ShardedCampaign`](super::shard::ShardedCampaign) can recognise the
-//! prefix (`is_connection_loss`) and degrade the dead connection instead
-//! of failing the campaign.
+//! executor's containment records one bug per failure class and the
+//! [sharded driver](super::shard) can recognise the prefix
+//! (`is_connection_loss`) and degrade the dead connection instead of
+//! failing the campaign.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -218,23 +218,6 @@ pub fn deploy(
     policy: ReconnectPolicy,
     chaos: WireChaos,
 ) -> (Box<dyn Target>, Option<TransportGuard>) {
-    match mode {
-        TransportMode::InProcess => (target, None),
-        TransportMode::FramedTcp => {
-            let (client, guard) = deploy_tcp(target.as_ref(), policy, chaos);
-            (Box::new(client), Some(guard))
-        }
-    }
-}
-
-/// [`deploy`] for the sharded engine, whose targets must stay `Send` so
-/// worker threads can own them.
-pub fn deploy_send(
-    target: Box<dyn Target + Send>,
-    mode: TransportMode,
-    policy: ReconnectPolicy,
-    chaos: WireChaos,
-) -> (Box<dyn Target + Send>, Option<TransportGuard>) {
     match mode {
         TransportMode::InProcess => (target, None),
         TransportMode::FramedTcp => {

@@ -34,6 +34,47 @@
 //! let report = Campaign::new(TargetId::Modbus.create(), config).run();
 //! assert!(report.final_paths() > 0);
 //! ```
+//!
+//! # Topologies and resumable runs
+//!
+//! [`Campaign`] is the only campaign type. [`CampaignConfig::topology`]
+//! picks its driver — [`Topology::Sequential`] (the default) or
+//! [`Topology::Sharded`] workers behind a merge barrier — and
+//! [`CampaignConfig::transport`] picks the wire, so a campaign over live TCP
+//! connections is a sharded topology over
+//! [`TransportMode::FramedTcp`](campaign::TransportMode::FramedTcp).
+//! [`Campaign::run_with`] adds checkpoints, stops at one of the
+//! [`boundaries`](Campaign::boundaries), resumes a snapshot or supervises a
+//! service ([`RunOptions`]), for either topology:
+//!
+//! ```
+//! use peachstar::campaign::{Campaign, CampaignConfig, RunOptions, Topology, TransportMode};
+//! use peachstar::strategy::StrategyKind;
+//! use peachstar_protocols::TargetId;
+//!
+//! let config = CampaignConfig::new(StrategyKind::PeachStar)
+//!     .executions(2_000)
+//!     .reset_interval(250)
+//!     .transport(TransportMode::FramedTcp)
+//!     .topology(Topology::Sharded { workers: 2, sync_windows: 2 });
+//! let campaign = Campaign::new(TargetId::Modbus.create(), config);
+//! let boundaries = campaign.boundaries();
+//! let (_, snapshot) = campaign.run_with(RunOptions {
+//!     stop_after: Some(boundaries[1]),
+//!     ..RunOptions::default()
+//! })?;
+//! // In-process and on one worker, the snapshot resumes bit-exactly.
+//! let in_process = config
+//!     .transport(TransportMode::InProcess)
+//!     .topology(Topology::Sharded { workers: 1, sync_windows: 2 });
+//! let (resumed, _) = Campaign::new(TargetId::Modbus.create(), in_process).run_with(RunOptions {
+//!     resume: snapshot.as_ref(),
+//!     ..RunOptions::default()
+//! })?;
+//! let uninterrupted = Campaign::new(TargetId::Modbus.create(), in_process).run();
+//! assert_eq!(resumed.series.points(), uninterrupted.series.points());
+//! # Ok::<(), peachstar::SnapshotError>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,8 +93,8 @@ pub mod stats;
 pub mod strategy;
 
 pub use artifact::{CrashArtifact, ReplayError};
-pub use campaign::{Campaign, CampaignConfig, CampaignReport};
-pub use engine::{run_sharded, Engine, ShardConfig, ShardedCampaign};
+pub use campaign::{Campaign, CampaignConfig, CampaignReport, RunOptions, Topology};
+pub use engine::Engine;
 pub use corpus::PuzzleCorpus;
 pub use cracker::FileCracker;
 pub use error::FuzzError;

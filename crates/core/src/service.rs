@@ -15,7 +15,9 @@
 //!   live status document ([`ServiceHooks::status_json`]), `stop` trips the
 //!   graceful drain; anything else gets an `{"error": ...}` line. The
 //!   protocol is deliberately trivial — `printf 'status\n' | nc` is a
-//!   sufficient client.
+//!   sufficient client. Clients are served one at a time, so a client that
+//!   stalls for [`CONTROL_TIMEOUT`] or sends a line longer than
+//!   [`MAX_COMMAND_LEN`] bytes is dropped to let the next one in.
 //! * Rolling checkpoints — [`CheckpointConfig::rotation`]
 //!   (`--keep-checkpoints K`) writes each snapshot atomically into a
 //!   rotation directory and prunes the oldest beyond K, and
@@ -24,20 +26,33 @@
 //!   so a SIGKILL'd service resumes bit-exactly from its newest intact
 //!   boundary.
 //!
+//! The hooks are topology-agnostic: [`Campaign::run_supervised`] and a
+//! [`Campaign::run_with`] carrying [`RunOptions::service`] (how a supervised
+//! campaign resumes) publish at every boundary of either driver, so the
+//! service shape is identical in-process, sharded and over a real wire.
+//!
 //! [`CheckpointConfig::rotation`]: crate::snapshot::CheckpointConfig::rotation
 //! [`CampaignSnapshot::resume_latest`]: crate::snapshot::CampaignSnapshot::resume_latest
-//!
-//! The hooks are engine-agnostic: `Campaign::run_supervised`,
-//! `ShardedCampaign::run_supervised` and `ConnectionCampaign::run_supervised`
-//! (plus their `resume_supervised` twins) all drive the same seam, so the
-//! service shape is identical in-process, sharded and over a real wire.
+//! [`Campaign::run_supervised`]: crate::campaign::Campaign::run_supervised
+//! [`Campaign::run_with`]: crate::campaign::Campaign::run_with
+//! [`RunOptions::service`]: crate::campaign::RunOptions::service
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long the control socket waits on a client — for its next command
+/// line, or for room to send a reply — before dropping it. Clients are
+/// served one at a time, so this bounds how long one connection can lock
+/// every other operator out.
+pub const CONTROL_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The longest command line the control socket accepts, newline excluded;
+/// a client sending more is dropped.
+pub const MAX_COMMAND_LEN: usize = 256;
 
 /// A point-in-time view of a supervised campaign, published by the engine
 /// drivers at every window boundary.
@@ -158,7 +173,8 @@ impl ServiceHooks {
 
 /// The line-oriented JSON control socket of a supervised campaign (see the
 /// module docs for the protocol). Connections are handled one at a time on
-/// the accept thread — a control socket sees operators, not load.
+/// the accept thread — a control socket sees operators, not load — each
+/// bounded by [`CONTROL_TIMEOUT`] and [`MAX_COMMAND_LEN`].
 #[derive(Debug)]
 pub struct ControlServer {
     addr: SocketAddr,
@@ -221,15 +237,27 @@ impl Drop for ControlServer {
 }
 
 /// Serves one control connection until EOF: one command per line in, one
-/// JSON document per line out.
+/// JSON document per line out. A read or write that times out, or a line
+/// longer than [`MAX_COMMAND_LEN`], ends the connection with an error.
 fn handle_control(stream: TcpStream, hooks: &ServiceHooks) -> io::Result<()> {
+    stream.set_read_timeout(Some(CONTROL_TIMEOUT))?;
+    stream.set_write_timeout(Some(CONTROL_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        // One byte past the cap (plus the newline) tells an over-long line
+        // from one that just fits.
+        let limit = MAX_COMMAND_LEN as u64 + 2;
+        if reader.by_ref().take(limit).read_line(&mut line)? == 0 {
             return Ok(());
+        }
+        if line.trim_end_matches(['\r', '\n']).len() > MAX_COMMAND_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "control command line too long",
+            ));
         }
         let reply = match line.trim() {
             "" => continue,

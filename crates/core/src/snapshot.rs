@@ -171,7 +171,9 @@ pub struct SnapshotMeta {
 }
 
 impl SnapshotMeta {
-    /// The fingerprint of a (sequential) campaign configuration.
+    /// The fingerprint of a campaign configuration. The barrier width of a
+    /// [`Topology::Sharded`](crate::campaign::Topology::Sharded) campaign is
+    /// fingerprinted (`sync_windows`); a sequential campaign has none.
     ///
     /// Operational knobs — `exec_timeout`, `summary_only`, `transport`, the
     /// worker/connection count, the `reconnect` policy, server-side
@@ -196,16 +198,8 @@ impl SnapshotMeta {
                 (session.payload_packets, mask)
             }),
             batch: config.batch,
-            sync_windows: None,
+            sync_windows: config.topology.sync_windows(),
         }
-    }
-
-    /// Marks the fingerprint as belonging to a sharded campaign with the
-    /// given merge-barrier width.
-    #[must_use]
-    pub fn sharded(mut self, sync_windows: u64) -> Self {
-        self.sync_windows = Some(sync_windows);
-        self
     }
 
     /// Checks that `self` (from a snapshot) matches the fingerprint of the
@@ -1173,10 +1167,10 @@ mod tests {
     fn operational_knobs_stay_out_of_the_fingerprint() {
         // Service and transport-recovery flags must never fence a resume:
         // configs differing only in reconnect schedule, wire chaos, exec
-        // timeout, summary mode or transport fingerprint identically (the
-        // rotation depth and `--control` address never even reach the
-        // config).
-        use crate::campaign::{CampaignConfig, ReconnectPolicy, TransportMode};
+        // timeout, summary mode, transport or worker count fingerprint
+        // identically (the rotation depth and `--control` address never
+        // even reach the config).
+        use crate::campaign::{CampaignConfig, ReconnectPolicy, Topology, TransportMode};
         use crate::strategy::StrategyKind;
         let base = CampaignConfig::new(StrategyKind::PeachStar)
             .executions(2_000)
@@ -1198,9 +1192,26 @@ mod tests {
             );
             assert!(baseline.ensure_matches(&meta).is_ok());
         }
+        let sharded = |workers, sync_windows| {
+            base.topology(Topology::Sharded {
+                workers,
+                sync_windows,
+            })
+        };
+        let sharded_baseline = SnapshotMeta::for_campaign("libmodbus", &sharded(1, 4));
+        for workers in [1, 2, 4] {
+            let meta = SnapshotMeta::for_campaign("libmodbus", &sharded(workers, 4));
+            assert_eq!(
+                meta, sharded_baseline,
+                "{workers} workers must fingerprint identically"
+            );
+            assert!(sharded_baseline.ensure_matches(&meta).is_ok());
+        }
         // Sanity: a knob that IS campaign semantics still fences.
         let different = SnapshotMeta::for_campaign("libmodbus", &base.executions(2_001));
         assert!(baseline.ensure_matches(&different).is_err());
+        let different = SnapshotMeta::for_campaign("libmodbus", &sharded(2, 5));
+        assert!(sharded_baseline.ensure_matches(&different).is_err());
     }
 
     #[test]

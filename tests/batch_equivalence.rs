@@ -19,7 +19,7 @@
 //!    whole session; batched session Peach still equals sequential session
 //!    Peach.
 
-use peachstar::campaign::{Campaign, CampaignConfig, SessionConfig, ShardConfig, ShardedCampaign};
+use peachstar::campaign::{Campaign, CampaignConfig, SessionConfig, Topology};
 use peachstar::strategy::StrategyKind;
 use peachstar::CampaignReport;
 use peachstar_protocols::TargetId;
@@ -75,7 +75,7 @@ fn batched_peach_equals_sequential_for_any_batch_size() {
         // Batch sizes straddling every interesting boundary: single-packet
         // batches, sizes that split a 250-execution window unevenly, exact
         // window multiples, and batches larger than the whole budget.
-        for batch in [1, 7, 64, 250, 4_000] {
+        for batch in [1, 7, 64, 250, 4_000, 5_000] {
             let batched =
                 deterministic(&Campaign::new(target.create(), cfg.batch(batch)).run());
             assert_eq!(
@@ -120,6 +120,8 @@ fn batched_peachstar_is_deterministic_per_batch_size() {
                 "every execution reduced exactly once"
             );
             assert!(first.corpus_size > 0, "feedback reaches the strategy");
+            assert!(first.final_paths > 0);
+            assert!(first.valuable_seeds > 0);
         }
     }
 }
@@ -137,10 +139,12 @@ fn batched_peachstar_with_whole_windows_equals_single_worker_sharding() {
             let batched =
                 deterministic(&Campaign::new(target.create(), cfg.batch(250)).run());
             let sharded = deterministic(
-                &ShardedCampaign::new(
+                &Campaign::new(
                     target.create(),
-                    cfg,
-                    ShardConfig::with_workers(1).sync_windows(1),
+                    cfg.topology(Topology::Sharded {
+                        workers: 1,
+                        sync_windows: 1,
+                    }),
                 )
                 .run(),
             );
@@ -220,13 +224,13 @@ fn summary_only_decode_never_changes_a_sharded_report() {
         for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
             for workers in [1, 3] {
                 let cfg = config(strategy, seed).batch(64);
-                let shard = ShardConfig::with_workers(workers).sync_windows(2);
-                let full = deterministic(
-                    &ShardedCampaign::new(target.create(), cfg, shard).run(),
-                );
-                let summary = deterministic(
-                    &ShardedCampaign::new(target.create(), cfg.summary_only(), shard).run(),
-                );
+                let cfg = cfg.topology(Topology::Sharded {
+                    workers,
+                    sync_windows: 2,
+                });
+                let full = deterministic(&Campaign::new(target.create(), cfg).run());
+                let summary =
+                    deterministic(&Campaign::new(target.create(), cfg.summary_only()).run());
                 assert_eq!(
                     full, summary,
                     "{strategy} on {target} seed {seed}, {workers} workers: \

@@ -25,8 +25,7 @@
 
 use peachstar::artifact::CrashArtifact;
 use peachstar::campaign::{
-    Campaign, CampaignConfig, ConnectionCampaign, ConnectionConfig, SessionConfig, ShardConfig,
-    ShardedCampaign, TransportMode,
+    Campaign, CampaignConfig, RunOptions, SessionConfig, Topology, TransportMode,
 };
 use peachstar::engine::transport::FramedTcpTarget;
 use peachstar::strategy::StrategyKind;
@@ -90,6 +89,15 @@ fn config(strategy: StrategyKind, seed: u64) -> CampaignConfig {
         .reset_interval(250)
 }
 
+/// `workers` parallel workers — live connections over framed TCP — with a
+/// merge barrier every 4 windows.
+fn sharded(workers: usize) -> Topology {
+    Topology::Sharded {
+        workers,
+        sync_windows: 4,
+    }
+}
+
 /// Asserts the two core chaos guarantees on a finished report: the full
 /// budget ran, injected panics surfaced, and the bug list has one record
 /// per site.
@@ -125,10 +133,9 @@ fn chaos_campaigns_complete_budget_across_the_configuration_matrix() {
             assert_survived(&report, &format!("{strategy} {label}"));
         }
         for workers in [1, 2, 4] {
-            let report = ShardedCampaign::new(
+            let report = Campaign::new(
                 chaos_target(TargetId::Iec104),
-                base,
-                ShardConfig::with_workers(workers).sync_windows(4),
+                base.topology(sharded(workers)),
             )
             .run();
             assert_survived(&report, &format!("{strategy} sharded x{workers}"));
@@ -186,10 +193,9 @@ fn worker_count_never_changes_a_chaos_report() {
         for (target, seed) in [(TargetId::Modbus, 3), (TargetId::Lib60870, 77)] {
             let run = |workers: usize| {
                 deterministic(
-                    &ShardedCampaign::new(
+                    &Campaign::new(
                         chaos_target(target),
-                        config(strategy, seed),
-                        ShardConfig::with_workers(workers).sync_windows(4),
+                        config(strategy, seed).topology(sharded(workers)),
                     )
                     .run(),
                 )
@@ -236,19 +242,14 @@ fn connection_driver_chaos_matches_the_in_process_sharded_engine() {
     // report at the merge barrier.
     let cfg = config(StrategyKind::PeachStar, 77);
     let in_process = deterministic(
-        &ShardedCampaign::new(
-            chaos_target(TargetId::Lib60870),
-            cfg,
-            ShardConfig::with_workers(2).sync_windows(4),
-        )
-        .run(),
+        &Campaign::new(chaos_target(TargetId::Lib60870), cfg.topology(sharded(2))).run(),
     );
     for connections in [1, 3] {
         let live = deterministic(
-            &ConnectionCampaign::new(
+            &Campaign::new(
                 chaos_target(TargetId::Lib60870),
-                cfg,
-                ConnectionConfig::with_connections(connections).sync_windows(4),
+                cfg.transport(TransportMode::FramedTcp)
+                    .topology(sharded(connections)),
             )
             .run(),
         );
@@ -362,13 +363,20 @@ fn resume_composes_with_chaos_and_artifacts() {
     let complete = Campaign::new(chaos_target(TargetId::Modbus), cfg).run();
     assert_survived(&complete, "uninterrupted chaos");
 
-    let boundaries = Campaign::new(chaos_target(TargetId::Modbus), cfg).window_boundaries();
+    let boundaries = Campaign::new(chaos_target(TargetId::Modbus), cfg).boundaries();
     let boundary = boundaries[boundaries.len() / 2];
-    let snapshot = Campaign::new(chaos_target(TargetId::Modbus), cfg)
-        .run_to_boundary(boundary)
+    let (_, snapshot) = Campaign::new(chaos_target(TargetId::Modbus), cfg)
+        .run_with(RunOptions {
+            stop_after: Some(boundary),
+            ..RunOptions::default()
+        })
         .expect("runs to the boundary");
-    let resumed = Campaign::new(chaos_target(TargetId::Modbus), cfg)
-        .resume(&snapshot)
+    let snapshot = snapshot.expect("a stop boundary yields a snapshot");
+    let (resumed, _) = Campaign::new(chaos_target(TargetId::Modbus), cfg)
+        .run_with(RunOptions {
+            resume: Some(&snapshot),
+            ..RunOptions::default()
+        })
         .expect("resumes");
     assert_eq!(
         deterministic(&complete),

@@ -10,8 +10,8 @@
 //! sharded merge barriers, plus chained (interrupt-the-resumed-run-again)
 //! interruptions.
 
-use peachstar::campaign::{Campaign, CampaignConfig, SessionConfig, ShardConfig, ShardedCampaign};
-use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig};
+use peachstar::campaign::{Campaign, CampaignConfig, RunOptions, SessionConfig, Topology};
+use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig, SnapshotError};
 use peachstar::strategy::StrategyKind;
 use peachstar::CampaignReport;
 use peachstar_protocols::TargetId;
@@ -55,6 +55,35 @@ fn config(strategy: StrategyKind, seed: u64) -> CampaignConfig {
         .reset_interval(250)
 }
 
+/// Runs `campaign` up to `boundary`, resuming `from` first when given, and
+/// returns the snapshot taken there.
+fn stop_at(
+    campaign: Campaign,
+    from: Option<&CampaignSnapshot>,
+    boundary: u64,
+) -> Result<CampaignSnapshot, SnapshotError> {
+    campaign
+        .run_with(RunOptions {
+            resume: from,
+            stop_after: Some(boundary),
+            ..RunOptions::default()
+        })
+        .map(|(_, snapshot)| snapshot.expect("a stop boundary yields a snapshot"))
+}
+
+/// Resumes `campaign` from `snapshot` to completion.
+fn resume(
+    campaign: Campaign,
+    snapshot: &CampaignSnapshot,
+) -> Result<CampaignReport, SnapshotError> {
+    campaign
+        .run_with(RunOptions {
+            resume: Some(snapshot),
+            ..RunOptions::default()
+        })
+        .map(|(report, _)| report)
+}
+
 /// Encode → decode → re-encode must be the identity on bytes; returns the
 /// decoded snapshot so every resume below also exercises the wire format.
 fn wire_round_trip(snapshot: &CampaignSnapshot) -> CampaignSnapshot {
@@ -70,17 +99,15 @@ fn sequential_resume_at_every_boundary_matches_uninterrupted() {
         for (target, seed) in [(TargetId::Modbus, 3), (TargetId::Iec104, 7)] {
             let cfg = config(strategy, seed);
             let complete = deterministic(&Campaign::new(target.create(), cfg).run());
-            let boundaries = Campaign::new(target.create(), cfg).window_boundaries();
+            let boundaries = Campaign::new(target.create(), cfg).boundaries();
             assert_eq!(*boundaries.last().expect("boundaries"), 1_000);
             for &boundary in &boundaries {
-                let snapshot = Campaign::new(target.create(), cfg)
-                    .run_to_boundary(boundary)
+                let snapshot = stop_at(Campaign::new(target.create(), cfg), None, boundary)
                     .expect("runs to the boundary");
                 assert_eq!(snapshot.completed, boundary);
                 let snapshot = wire_round_trip(&snapshot);
-                let resumed = Campaign::new(target.create(), cfg)
-                    .resume(&snapshot)
-                    .expect("resumes");
+                let resumed =
+                    resume(Campaign::new(target.create(), cfg), &snapshot).expect("resumes");
                 assert_eq!(
                     complete,
                     deterministic(&resumed),
@@ -96,15 +123,17 @@ fn batched_resume_at_every_boundary_matches_uninterrupted() {
     for batch in [64, 250] {
         let cfg = config(StrategyKind::PeachStar, 5).batch(batch);
         let complete = deterministic(&Campaign::new(TargetId::Modbus.create(), cfg).run());
-        let boundaries = Campaign::new(TargetId::Modbus.create(), cfg).window_boundaries();
+        let boundaries = Campaign::new(TargetId::Modbus.create(), cfg).boundaries();
         for &boundary in &boundaries {
-            let snapshot = Campaign::new(TargetId::Modbus.create(), cfg)
-                .run_to_boundary(boundary)
-                .expect("runs to the boundary");
+            let snapshot = stop_at(
+                Campaign::new(TargetId::Modbus.create(), cfg),
+                None,
+                boundary,
+            )
+            .expect("runs to the boundary");
             let snapshot = wire_round_trip(&snapshot);
-            let resumed = Campaign::new(TargetId::Modbus.create(), cfg)
-                .resume(&snapshot)
-                .expect("resumes");
+            let resumed =
+                resume(Campaign::new(TargetId::Modbus.create(), cfg), &snapshot).expect("resumes");
             assert_eq!(
                 complete,
                 deterministic(&resumed),
@@ -126,16 +155,13 @@ fn session_resume_at_every_session_boundary_matches_uninterrupted() {
             .sample_interval(50)
             .sessions(SessionConfig::new(6));
         let complete = deterministic(&Campaign::new(target.create(), cfg).run());
-        let boundaries = Campaign::new(target.create(), cfg).window_boundaries();
+        let boundaries = Campaign::new(target.create(), cfg).boundaries();
         assert!(boundaries.len() > 10, "plenty of session boundaries to test");
         for &boundary in &boundaries {
-            let snapshot = Campaign::new(target.create(), cfg)
-                .run_to_boundary(boundary)
+            let snapshot = stop_at(Campaign::new(target.create(), cfg), None, boundary)
                 .expect("runs to the boundary");
             let snapshot = wire_round_trip(&snapshot);
-            let resumed = Campaign::new(target.create(), cfg)
-                .resume(&snapshot)
-                .expect("resumes");
+            let resumed = resume(Campaign::new(target.create(), cfg), &snapshot).expect("resumes");
             assert_eq!(
                 complete,
                 deterministic(&resumed),
@@ -149,21 +175,20 @@ fn session_resume_at_every_session_boundary_matches_uninterrupted() {
 fn sharded_resume_at_every_barrier_matches_uninterrupted() {
     for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
         let cfg = config(strategy, 3);
-        let shard = ShardConfig::with_workers(2).sync_windows(1);
-        let complete = deterministic(
-            &ShardedCampaign::new(TargetId::Modbus.create(), cfg, shard).run(),
-        );
-        let barriers =
-            ShardedCampaign::new(TargetId::Modbus.create(), cfg, shard).round_boundaries();
+        let shard = Topology::Sharded {
+            workers: 2,
+            sync_windows: 1,
+        };
+        let complete =
+            deterministic(&Campaign::new(TargetId::Modbus.create(), cfg.topology(shard)).run());
+        let barriers = Campaign::new(TargetId::Modbus.create(), cfg.topology(shard)).boundaries();
         for &barrier in &barriers {
-            let snapshot = ShardedCampaign::new(TargetId::Modbus.create(), cfg, shard)
-                .run_to_boundary(barrier)
-                .expect("runs to the barrier");
+            let campaign = Campaign::new(TargetId::Modbus.create(), cfg.topology(shard));
+            let snapshot = stop_at(campaign, None, barrier).expect("runs to the barrier");
             assert_eq!(snapshot.completed, barrier);
             let snapshot = wire_round_trip(&snapshot);
-            let resumed = ShardedCampaign::new(TargetId::Modbus.create(), cfg, shard)
-                .resume(&snapshot)
-                .expect("resumes");
+            let campaign = Campaign::new(TargetId::Modbus.create(), cfg.topology(shard));
+            let resumed = resume(campaign, &snapshot).expect("resumes");
             assert_eq!(
                 complete,
                 deterministic(&resumed),
@@ -179,20 +204,22 @@ fn sharded_snapshot_resumes_under_any_worker_count() {
     // barriers synchronise the full campaign state, so a snapshot taken with
     // N workers must resume bit-exactly under any other worker count.
     let cfg = config(StrategyKind::PeachStar, 11);
-    let shard_two = ShardConfig::with_workers(2).sync_windows(2);
-    let complete = deterministic(
-        &ShardedCampaign::new(TargetId::Iec104.create(), cfg, shard_two).run(),
-    );
-    let barrier = ShardedCampaign::new(TargetId::Iec104.create(), cfg, shard_two)
-        .round_boundaries()[0];
-    let snapshot = ShardedCampaign::new(TargetId::Iec104.create(), cfg, shard_two)
-        .run_to_boundary(barrier)
-        .expect("runs to the barrier");
+    let shard_two = Topology::Sharded {
+        workers: 2,
+        sync_windows: 2,
+    };
+    let complete =
+        deterministic(&Campaign::new(TargetId::Iec104.create(), cfg.topology(shard_two)).run());
+    let barrier = Campaign::new(TargetId::Iec104.create(), cfg.topology(shard_two)).boundaries()[0];
+    let campaign = Campaign::new(TargetId::Iec104.create(), cfg.topology(shard_two));
+    let snapshot = stop_at(campaign, None, barrier).expect("runs to the barrier");
     for workers in [1, 3] {
-        let shard = ShardConfig::with_workers(workers).sync_windows(2);
-        let resumed = ShardedCampaign::new(TargetId::Iec104.create(), cfg, shard)
-            .resume(&snapshot)
-            .expect("resumes");
+        let shard = Topology::Sharded {
+            workers,
+            sync_windows: 2,
+        };
+        let campaign = Campaign::new(TargetId::Iec104.create(), cfg.topology(shard));
+        let resumed = resume(campaign, &snapshot).expect("resumes");
         assert_eq!(
             complete,
             deterministic(&resumed),
@@ -207,18 +234,16 @@ fn chained_interruptions_compose() {
     // double-interrupted campaign still matches the uninterrupted one.
     let cfg = config(StrategyKind::PeachStar, 3);
     let complete = deterministic(&Campaign::new(TargetId::Modbus.create(), cfg).run());
-    let boundaries = Campaign::new(TargetId::Modbus.create(), cfg).window_boundaries();
+    let boundaries = Campaign::new(TargetId::Modbus.create(), cfg).boundaries();
     let (first, second) = (boundaries[0], boundaries[2]);
-    let snapshot = Campaign::new(TargetId::Modbus.create(), cfg)
-        .run_to_boundary(first)
+    let snapshot = stop_at(Campaign::new(TargetId::Modbus.create(), cfg), None, first)
         .expect("first interruption");
-    let snapshot = Campaign::new(TargetId::Modbus.create(), cfg)
-        .resume_to_boundary(&wire_round_trip(&snapshot), second)
-        .expect("second interruption");
+    let campaign = Campaign::new(TargetId::Modbus.create(), cfg);
+    let snapshot =
+        stop_at(campaign, Some(&wire_round_trip(&snapshot)), second).expect("second interruption");
     assert_eq!(snapshot.completed, second);
-    let resumed = Campaign::new(TargetId::Modbus.create(), cfg)
-        .resume(&wire_round_trip(&snapshot))
-        .expect("final resume");
+    let campaign = Campaign::new(TargetId::Modbus.create(), cfg);
+    let resumed = resume(campaign, &wire_round_trip(&snapshot)).expect("final resume");
     assert_eq!(complete, deterministic(&resumed));
 }
 
@@ -230,8 +255,11 @@ fn checkpointed_run_writes_resumable_snapshots_and_matches_plain_run() {
     ));
     let cfg = config(StrategyKind::PeachStar, 3);
     let plain = deterministic(&Campaign::new(TargetId::Modbus.create(), cfg).run());
-    let checkpointed = Campaign::new(TargetId::Modbus.create(), cfg)
-        .run_checkpointed(&CheckpointConfig::new(path.clone(), 1))
+    let (checkpointed, _) = Campaign::new(TargetId::Modbus.create(), cfg)
+        .run_with(RunOptions {
+            checkpoint: Some(&CheckpointConfig::new(path.clone(), 1)),
+            ..RunOptions::default()
+        })
         .expect("checkpointed run");
     assert_eq!(plain, deterministic(&checkpointed), "checkpointing is observationally free");
 
@@ -240,8 +268,7 @@ fn checkpointed_run_writes_resumable_snapshots_and_matches_plain_run() {
     let snapshot = CampaignSnapshot::read_from(&path).expect("snapshot readable");
     std::fs::remove_file(&path).ok();
     assert_eq!(snapshot.completed, 1_000);
-    let resumed = Campaign::new(TargetId::Modbus.create(), cfg)
-        .resume(&snapshot)
+    let resumed = resume(Campaign::new(TargetId::Modbus.create(), cfg), &snapshot)
         .expect("resume of a finished campaign");
     assert_eq!(plain, deterministic(&resumed));
 }
@@ -249,30 +276,34 @@ fn checkpointed_run_writes_resumable_snapshots_and_matches_plain_run() {
 #[test]
 fn misaligned_or_mismatched_resume_is_rejected() {
     let cfg = config(StrategyKind::PeachStar, 3);
-    let boundary = Campaign::new(TargetId::Modbus.create(), cfg).window_boundaries()[0];
-    let snapshot = Campaign::new(TargetId::Modbus.create(), cfg)
-        .run_to_boundary(boundary)
-        .expect("runs to the boundary");
+    let boundary = Campaign::new(TargetId::Modbus.create(), cfg).boundaries()[0];
+    let snapshot = stop_at(
+        Campaign::new(TargetId::Modbus.create(), cfg),
+        None,
+        boundary,
+    )
+    .expect("runs to the boundary");
 
     // Not a window boundary.
-    assert!(Campaign::new(TargetId::Modbus.create(), cfg)
-        .run_to_boundary(boundary + 1)
-        .is_err());
+    assert!(stop_at(
+        Campaign::new(TargetId::Modbus.create(), cfg),
+        None,
+        boundary + 1
+    )
+    .is_err());
     // Wrong target.
-    assert!(Campaign::new(TargetId::Iec104.create(), cfg)
-        .resume(&snapshot)
-        .is_err());
+    assert!(resume(Campaign::new(TargetId::Iec104.create(), cfg), &snapshot).is_err());
     // Wrong strategy.
-    assert!(Campaign::new(TargetId::Modbus.create(), config(StrategyKind::Peach, 3))
-        .resume(&snapshot)
-        .is_err());
+    let peach = config(StrategyKind::Peach, 3);
+    assert!(resume(Campaign::new(TargetId::Modbus.create(), peach), &snapshot).is_err());
     // Wrong seed.
-    assert!(Campaign::new(TargetId::Modbus.create(), cfg.rng_seed(4))
-        .resume(&snapshot)
-        .is_err());
+    assert!(resume(
+        Campaign::new(TargetId::Modbus.create(), cfg.rng_seed(4)),
+        &snapshot
+    )
+    .is_err());
     // Resuming further than the stop boundary is fine; resuming *to* the
     // same (or an earlier) one is not.
-    assert!(Campaign::new(TargetId::Modbus.create(), cfg)
-        .resume_to_boundary(&snapshot, boundary)
-        .is_err());
+    let campaign = Campaign::new(TargetId::Modbus.create(), cfg);
+    assert!(stop_at(campaign, Some(&snapshot), boundary).is_err());
 }

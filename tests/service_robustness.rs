@@ -13,6 +13,8 @@
 //!   report as a healthy wire at equal budget (journal replay).
 //! * A connection that exhausts its reconnect budget degrades onto the
 //!   surviving connections; the report still matches the healthy run.
+//! * An idle or flooding control-socket client is dropped after a bounded
+//!   time, so it cannot lock the next operator out.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,8 +23,7 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 
 use peachstar::campaign::{
-    Campaign, CampaignConfig, ConnectionCampaign, ConnectionConfig, ReconnectPolicy, ShardConfig,
-    ShardedCampaign, TransportMode,
+    Campaign, CampaignConfig, ReconnectPolicy, RunOptions, Topology, TransportMode,
 };
 use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig};
 use peachstar::strategy::StrategyKind;
@@ -66,6 +67,19 @@ fn config(seed: u64) -> CampaignConfig {
         .rng_seed(seed)
         .sample_interval(100)
         .reset_interval(250)
+}
+
+/// Resumes `campaign` from `snapshot` to completion.
+fn resume(
+    campaign: Campaign,
+    snapshot: &CampaignSnapshot,
+) -> Result<CampaignReport, peachstar::SnapshotError> {
+    campaign
+        .run_with(RunOptions {
+            resume: Some(snapshot),
+            ..RunOptions::default()
+        })
+        .map(|(report, _)| report)
 }
 
 /// A unique scratch rotation directory, wiped clean before use.
@@ -126,8 +140,13 @@ fn graceful_stop_then_resume_latest_is_bit_identical_to_uninterrupted() {
         .expect("the stop wrote a restorable checkpoint");
     assert_eq!(snapshot.completed, partial.executions);
     let resumed_hooks = ServiceHooks::new(cfg.executions);
-    let resumed = Campaign::new(TargetId::Modbus.create(), cfg)
-        .resume_supervised(&snapshot, &checkpoint, &resumed_hooks)
+    let (resumed, _) = Campaign::new(TargetId::Modbus.create(), cfg)
+        .run_with(RunOptions {
+            resume: Some(&snapshot),
+            checkpoint: Some(&checkpoint),
+            service: Some(&resumed_hooks),
+            ..RunOptions::default()
+        })
         .expect("supervised resume");
     assert_eq!(resumed.executions, cfg.executions);
     assert_eq!(complete, deterministic(&resumed), "graceful stop + resume diverged");
@@ -215,9 +234,7 @@ fn a_control_socket_stop_drains_and_the_service_resumes_to_the_same_report() {
     let final_report = if snapshot.completed == cfg.executions {
         stopped
     } else {
-        Campaign::new(TargetId::Modbus.create(), cfg)
-            .resume(&snapshot)
-            .expect("resume")
+        resume(Campaign::new(TargetId::Modbus.create(), cfg), &snapshot).expect("resume")
     };
     assert_eq!(complete, deterministic(&final_report), "control-socket stop diverged");
 
@@ -235,20 +252,23 @@ fn kill_resume_from_every_rotation_slot_converges() {
     let checkpoint = CheckpointConfig::new(dir.clone(), 1).rotation(8);
     let complete = deterministic(
         &Campaign::new(TargetId::Iec104.create(), cfg)
-            .run_checkpointed(&checkpoint)
-            .expect("checkpointed run"),
+            .run_with(RunOptions {
+                checkpoint: Some(&checkpoint),
+                ..RunOptions::default()
+            })
+            .expect("checkpointed run")
+            .0,
     );
 
-    let boundaries = Campaign::new(TargetId::Iec104.create(), cfg).window_boundaries();
+    let boundaries = Campaign::new(TargetId::Iec104.create(), cfg).boundaries();
     assert_eq!(rotation_slots(&dir).len(), boundaries.len(), "every boundary kept");
     for &boundary in boundaries.iter().rev() {
         let snapshot = CampaignSnapshot::resume_latest(&dir)
             .expect("rotation scan")
             .expect("slot restores");
         assert_eq!(snapshot.completed, boundary, "newest surviving slot");
-        let resumed = Campaign::new(TargetId::Iec104.create(), cfg)
-            .resume(&snapshot)
-            .expect("resume");
+        let resumed =
+            resume(Campaign::new(TargetId::Iec104.create(), cfg), &snapshot).expect("resume");
         assert_eq!(
             complete,
             deterministic(&resumed),
@@ -287,25 +307,70 @@ fn an_exhausted_connection_degrades_onto_the_survivors() {
     // connection is marked dead, its window is redistributed, and the
     // surviving connection finishes the campaign with the healthy report.
     let cfg = config(13);
-    let healthy = deterministic(
-        &ShardedCampaign::new(
-            TargetId::Modbus.create(),
-            cfg,
-            ShardConfig::with_workers(2).sync_windows(2),
-        )
-        .run(),
-    );
+    let two_lanes = Topology::Sharded {
+        workers: 2,
+        sync_windows: 2,
+    };
+    let healthy =
+        deterministic(&Campaign::new(TargetId::Modbus.create(), cfg.topology(two_lanes)).run());
     let chaotic = cfg
         .reconnect(ReconnectPolicy::immediate(2))
-        .wire_chaos(WireChaos::drop_every(137).limit(1).reject_after_drop(3));
-    let report = ConnectionCampaign::new(
-        TargetId::Modbus.create(),
-        chaotic,
-        ConnectionConfig::with_connections(2).sync_windows(2),
-    )
-    .run();
+        .wire_chaos(WireChaos::drop_every(137).limit(1).reject_after_drop(3))
+        .transport(TransportMode::FramedTcp)
+        .topology(two_lanes);
+    let report = Campaign::new(TargetId::Modbus.create(), chaotic).run();
     assert_eq!(report.executions, cfg.executions);
     assert_eq!(healthy, deterministic(&report), "degraded campaign diverged");
+}
+
+#[test]
+fn an_idle_control_client_cannot_lock_out_the_next_operator() {
+    // The control socket serves clients one at a time. An idle client that
+    // connects first is dropped after the read timeout, a client flooding
+    // one endless line is dropped at the length cap, and the operator
+    // queued behind both gets `status` answered within the timeout plus a
+    // generous scheduling margin.
+    use peachstar::service::{CONTROL_TIMEOUT, MAX_COMMAND_LEN};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
+
+    let bound = CONTROL_TIMEOUT + Duration::from_secs(3);
+    let hooks = ServiceHooks::new(1_000);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind control");
+    let mut control = ControlServer::start(listener, Arc::clone(&hooks)).expect("control server");
+    let started = Instant::now();
+    let _idle = TcpStream::connect(control.addr()).expect("idle client connects");
+    let mut flood = TcpStream::connect(control.addr()).expect("flooding client connects");
+    flood
+        .write_all(&vec![b'x'; MAX_COMMAND_LEN * 4])
+        .expect("flood one line");
+    let operator = TcpStream::connect(control.addr()).expect("operator connects");
+    operator
+        .set_read_timeout(Some(bound))
+        .expect("operator timeout");
+    let mut reader = BufReader::new(operator.try_clone().expect("clone"));
+    let mut writer = operator;
+    writer.write_all(b"status\n").expect("send status");
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("status answered despite the idle client");
+    assert!(reply.contains("\"budget\":1000"), "{reply}");
+    assert!(
+        started.elapsed() < bound,
+        "status took {:?}, bound {bound:?}",
+        started.elapsed()
+    );
+    // The flooding client was dropped, not answered.
+    let mut flooded = String::new();
+    flood.set_read_timeout(Some(bound)).expect("flood timeout");
+    let dropped = BufReader::new(flood).read_line(&mut flooded);
+    assert!(
+        matches!(dropped, Ok(0) | Err(_)),
+        "an over-long line must drop the client, got {flooded:?}"
+    );
+    control.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -346,12 +411,16 @@ fn rotation_fixture() -> &'static Vec<(u64, Vec<u8>)> {
     FIXTURE.get_or_init(|| {
         let cfg = config(17);
         Campaign::new(TargetId::Modbus.create(), cfg)
-            .window_boundaries()
+            .boundaries()
             .into_iter()
             .map(|boundary| {
-                let snapshot = Campaign::new(TargetId::Modbus.create(), cfg)
-                    .run_to_boundary(boundary)
+                let (_, snapshot) = Campaign::new(TargetId::Modbus.create(), cfg)
+                    .run_with(RunOptions {
+                        stop_after: Some(boundary),
+                        ..RunOptions::default()
+                    })
                     .expect("boundary snapshot");
+                let snapshot = snapshot.expect("a stop boundary yields a snapshot");
                 (boundary, snapshot.encode())
             })
             .collect()

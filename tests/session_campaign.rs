@@ -15,9 +15,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use peachstar::campaign::{
-    Campaign, CampaignConfig, CampaignReport, SessionConfig, ShardConfig, ShardedCampaign,
-};
+use peachstar::campaign::{Campaign, CampaignConfig, CampaignReport, SessionConfig, Topology};
 use peachstar::strategy::StrategyKind;
 use peachstar_coverage::TraceContext;
 use peachstar_datamodel::DataModelSet;
@@ -202,15 +200,18 @@ fn sharded_session_never_straddles_a_reset_or_merge_barrier() {
     const PAYLOAD: u64 = 4;
     const EXECUTIONS: u64 = 600;
     let (target, log) = ProbeTarget::new();
-    let report = ShardedCampaign::new(
+    let report = Campaign::new(
         Box::new(target),
         CampaignConfig::new(StrategyKind::PeachStar)
             .executions(EXECUTIONS)
             .rng_seed(11)
             .sample_interval(100)
-            .sessions(SessionConfig::new(PAYLOAD)),
-        // A tiny barrier distance: a merge barrier every 2 sessions.
-        ShardConfig::with_workers(1).sync_windows(2),
+            .sessions(SessionConfig::new(PAYLOAD))
+            // A tiny barrier distance: a merge barrier every 2 sessions.
+            .topology(Topology::Sharded {
+                workers: 1,
+                sync_windows: 2,
+            }),
     )
     .run();
     assert_eq!(report.executions, EXECUTIONS);

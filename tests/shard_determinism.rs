@@ -16,7 +16,7 @@
 //! at the merge barrier rather than per execution), which is why guarantee 1
 //! is asserted for it separately.
 
-use peachstar::campaign::{Campaign, CampaignConfig, SessionConfig, ShardConfig, ShardedCampaign};
+use peachstar::campaign::{Campaign, CampaignConfig, SessionConfig, Topology};
 use peachstar::strategy::StrategyKind;
 use peachstar::CampaignReport;
 use peachstar_protocols::TargetId;
@@ -60,12 +60,11 @@ fn config(strategy: StrategyKind, seed: u64) -> CampaignConfig {
 }
 
 fn sharded(target: TargetId, config: CampaignConfig, workers: usize) -> Deterministic {
-    let report = ShardedCampaign::new(
-        target.create(),
-        config,
-        ShardConfig::with_workers(workers).sync_windows(4),
-    )
-    .run();
+    let topology = Topology::Sharded {
+        workers,
+        sync_windows: 4,
+    };
+    let report = Campaign::new(target.create(), config.topology(topology)).run();
     deterministic(&report)
 }
 
@@ -174,18 +173,22 @@ fn sync_window_width_is_part_of_peachstar_semantics() {
     // Peach* it decides when valuable seeds reach the strategy.
     let cfg = config(StrategyKind::Peach, 3);
     let narrow = deterministic(
-        &ShardedCampaign::new(
+        &Campaign::new(
             TargetId::Modbus.create(),
-            cfg,
-            ShardConfig::with_workers(2).sync_windows(1),
+            cfg.topology(Topology::Sharded {
+                workers: 2,
+                sync_windows: 1,
+            }),
         )
         .run(),
     );
     let wide = deterministic(
-        &ShardedCampaign::new(
+        &Campaign::new(
             TargetId::Modbus.create(),
-            cfg,
-            ShardConfig::with_workers(2).sync_windows(8),
+            cfg.topology(Topology::Sharded {
+                workers: 2,
+                sync_windows: 8,
+            }),
         )
         .run(),
     );

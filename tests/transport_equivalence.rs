@@ -17,9 +17,9 @@
 //!    deliberately excludes the transport and the connection count.
 
 use peachstar::campaign::{
-    Campaign, CampaignConfig, ConnectionCampaign, ConnectionConfig, SessionConfig, ShardConfig,
-    ShardedCampaign, TransportMode,
+    Campaign, CampaignConfig, RunOptions, SessionConfig, Topology, TransportMode,
 };
+use peachstar::snapshot::{CampaignSnapshot, SnapshotError};
 use peachstar::strategy::StrategyKind;
 use peachstar::CampaignReport;
 use peachstar_protocols::TargetId;
@@ -61,6 +61,38 @@ fn config(strategy: StrategyKind, seed: u64) -> CampaignConfig {
         .rng_seed(seed)
         .sample_interval(150)
         .reset_interval(250)
+}
+
+/// `workers` parallel workers — live connections over framed TCP — with a
+/// merge barrier every 4 windows.
+fn sharded(workers: usize) -> Topology {
+    Topology::Sharded {
+        workers,
+        sync_windows: 4,
+    }
+}
+
+/// Runs `campaign` up to `boundary` and returns the snapshot taken there.
+fn stop_at(campaign: Campaign, boundary: u64) -> Result<CampaignSnapshot, SnapshotError> {
+    campaign
+        .run_with(RunOptions {
+            stop_after: Some(boundary),
+            ..RunOptions::default()
+        })
+        .map(|(_, snapshot)| snapshot.expect("a stop boundary yields a snapshot"))
+}
+
+/// Resumes `campaign` from `snapshot` to completion.
+fn resume(
+    campaign: Campaign,
+    snapshot: &CampaignSnapshot,
+) -> Result<CampaignReport, SnapshotError> {
+    campaign
+        .run_with(RunOptions {
+            resume: Some(snapshot),
+            ..RunOptions::default()
+        })
+        .map(|(report, _)| report)
 }
 
 #[test]
@@ -133,12 +165,10 @@ fn framed_tcp_session_campaign_equals_in_process() {
 }
 
 fn connections(target: TargetId, cfg: CampaignConfig, count: usize) -> Deterministic {
-    let report = ConnectionCampaign::new(
-        target.create(),
-        cfg,
-        ConnectionConfig::with_connections(count).sync_windows(4),
-    )
-    .run();
+    let cfg = cfg
+        .transport(TransportMode::FramedTcp)
+        .topology(sharded(count));
+    let report = Campaign::new(target.create(), cfg).run();
     deterministic(&report)
 }
 
@@ -151,12 +181,7 @@ fn connection_count_never_changes_the_report() {
     for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
         for (target, seed) in [(TargetId::Modbus, 3), (TargetId::Lib60870, 77)] {
             let sharded_in_process = deterministic(
-                &ShardedCampaign::new(
-                    target.create(),
-                    config(strategy, seed),
-                    ShardConfig::with_workers(2).sync_windows(4),
-                )
-                .run(),
+                &Campaign::new(target.create(), config(strategy, seed).topology(sharded(2))).run(),
             );
             for count in [1, 2, 4] {
                 let live = connections(target, config(strategy, seed), count);
@@ -182,14 +207,13 @@ fn tcp_recorded_checkpoint_resumes_in_process_bit_exactly() {
         cfg.transport(TransportMode::FramedTcp),
     );
     let boundary = over_tcp
-        .window_boundaries()
+        .boundaries()
         .into_iter()
         .find(|&end| end >= 500)
         .expect("a boundary past 500");
-    let snapshot = over_tcp.run_to_boundary(boundary).expect("tcp run to boundary");
+    let snapshot = stop_at(over_tcp, boundary).expect("tcp run to boundary");
 
-    let resumed = Campaign::new(TargetId::Modbus.create(), cfg)
-        .resume(&snapshot)
+    let resumed = resume(Campaign::new(TargetId::Modbus.create(), cfg), &snapshot)
         .expect("in-process resume of a TCP-recorded snapshot");
     assert_eq!(
         complete,
@@ -204,32 +228,27 @@ fn connection_checkpoint_resumes_on_any_worker_or_connection_count() {
     // live-socket campaign resumes on the in-process sharded engine (any
     // worker count) and on a different connection count, all bit-exactly.
     let cfg = config(StrategyKind::PeachStar, 13);
-    let shard = |workers: usize| {
-        ShardedCampaign::new(
+    let shard =
+        |workers: usize| Campaign::new(TargetId::Iec104.create(), cfg.topology(sharded(workers)));
+    let over_tcp = |connections: usize| {
+        Campaign::new(
             TargetId::Iec104.create(),
-            cfg,
-            ShardConfig::with_workers(workers).sync_windows(4),
+            cfg.transport(TransportMode::FramedTcp)
+                .topology(sharded(connections)),
         )
     };
     let complete = deterministic(&shard(2).run());
 
-    let recorder = ConnectionCampaign::new(
-        TargetId::Iec104.create(),
-        cfg,
-        ConnectionConfig::with_connections(4).sync_windows(4),
-    );
+    let recorder = over_tcp(4);
     let boundary = recorder
-        .round_boundaries()
+        .boundaries()
         .into_iter()
         .find(|&end| end >= 500)
         .expect("a merge barrier past 500");
-    let snapshot = recorder
-        .run_to_boundary(boundary)
-        .expect("tcp run to merge barrier");
+    let snapshot = stop_at(recorder, boundary).expect("tcp run to merge barrier");
 
     for workers in [1, 3] {
-        let resumed = shard(workers)
-            .resume(&snapshot)
+        let resumed = resume(shard(workers), &snapshot)
             .expect("in-process resume of a connection-recorded snapshot");
         assert_eq!(
             complete,
@@ -237,13 +256,8 @@ fn connection_checkpoint_resumes_on_any_worker_or_connection_count() {
             "{workers} in-process workers diverged resuming a TCP checkpoint"
         );
     }
-    let resumed = ConnectionCampaign::new(
-        TargetId::Iec104.create(),
-        cfg,
-        ConnectionConfig::with_connections(2).sync_windows(4),
-    )
-    .resume(&snapshot)
-    .expect("2-connection resume of a 4-connection snapshot");
+    let resumed =
+        resume(over_tcp(2), &snapshot).expect("2-connection resume of a 4-connection snapshot");
     assert_eq!(
         complete,
         deterministic(&resumed),
