@@ -3,7 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use peachstar_coverage::{CoverageMap, EdgeId, TraceContext};
+use peachstar_coverage::{cov_edge, CoverageMap, EdgeId, TraceContext};
+
+/// `cov_edge!` hits per `coverage_map/edge_hit` sample.
+const EDGE_HITS: usize = 1024;
 
 fn trace_with_edges(edges: usize) -> peachstar_coverage::TraceMap {
     let mut ctx = TraceContext::new();
@@ -30,6 +33,24 @@ fn bench_coverage(c: &mut Criterion) {
             b.iter(|| trace.path_id());
         });
     }
+
+    // `cov_edge!` hits, as every target branch records them. The site ids
+    // are compile-time constants, so this prices only the map update. One
+    // hit is below the harness's per-sample timer resolution, so a sample
+    // is EDGE_HITS hits over four sites: divide the median by EDGE_HITS.
+    group.bench_function("edge_hit", |b| {
+        let mut ctx = TraceContext::new();
+        b.iter(|| {
+            ctx.reset();
+            for _ in 0..EDGE_HITS / 4 {
+                cov_edge!(ctx);
+                cov_edge!(ctx);
+                cov_edge!(ctx);
+                cov_edge!(ctx);
+            }
+            ctx.trace().edges_hit()
+        });
+    });
 
     // Repeated merging of an already-known trace: the steady-state cost.
     let trace = trace_with_edges(128);

@@ -95,7 +95,7 @@ impl PacketArena {
             schedule.next_packet_into(models, rng, slot);
         }
         while self.packets.len() < count {
-            let mut slot = Seed::new(Vec::new(), "", false);
+            let mut slot = Seed::default();
             schedule.next_packet_into(models, rng, &mut slot);
             self.packets.push(slot);
         }

@@ -90,37 +90,53 @@ where
     /// record → coverage merge → valuable verdict → schedule feedback →
     /// seed retention → series sample.
     pub fn step(&mut self, execution: u64, models: &DataModelSet, rng: &mut SmallRng) {
-        let packet = self.schedule.next_packet(models, rng);
+        let mut packet = self.schedule.next_packet(models, rng);
+        self.execute_slot(execution, &mut packet, models);
+    }
+
+    /// Runs executions `start..=end` (1-based, inclusive) through
+    /// [`step`](Engine::step)'s seams — the window body of the sequential
+    /// driver.
+    ///
+    /// Every execution is generated into one packet slot through
+    /// [`Schedule::next_packet_into`], which is observationally identical to
+    /// [`Schedule::next_packet`], so the span reuses the slot's byte buffer
+    /// and model-name string instead of allocating a fresh seed per
+    /// execution.
+    pub(crate) fn run_span(&mut self, start: u64, end: u64, models: &DataModelSet, rng: &mut SmallRng) {
+        let mut slot = GeneratedPacket::default();
+        for execution in start..=end {
+            self.schedule.next_packet_into(models, rng, &mut slot);
+            self.execute_slot(execution, &mut slot, models);
+        }
+    }
+
+    /// Executes a generated packet and folds the result through the seams in
+    /// [`step`](Engine::step)'s order.
+    fn execute_slot(&mut self, execution: u64, packet: &mut GeneratedPacket, models: &DataModelSet) {
         let (outcome, trace) = self.executor.execute(execution, &packet.bytes);
         self.monitor
-            .record(execution, &packet, OutcomeSummary::from(&outcome));
+            .record(execution, packet, OutcomeSummary::from(&outcome));
         let merge = self.observer.merge(trace);
         let valuable = self.feedback.is_interesting(&merge);
         self.schedule.feedback(&FeedbackEvent {
             execution,
-            packet: &packet,
+            packet,
             valuable,
             merge: &merge,
             models,
         });
         if valuable {
-            // The schedule only borrows the packet, so retention can move it
-            // into the pool instead of cloning.
-            self.feedback.retain(packet, &merge);
+            // The schedule only borrows the packet, so retention moves the
+            // rare valuable packet's buffers into the pool instead of cloning;
+            // the emptied slot regrows on the next generation.
+            self.feedback.retain(std::mem::take(packet), &merge);
         }
         self.monitor.sample(
             execution,
             self.observer.paths_covered(),
             self.observer.edges_covered(),
         );
-    }
-
-    /// Runs executions `start..=end` (1-based, inclusive) through
-    /// [`step`](Engine::step) — the window body of the sequential driver.
-    pub(crate) fn run_span(&mut self, start: u64, end: u64, models: &DataModelSet, rng: &mut SmallRng) {
-        for execution in start..=end {
-            self.step(execution, models, rng);
-        }
     }
 }
 

@@ -328,7 +328,7 @@ impl<S: Schedule> Schedule for SessionSchedule<S> {
     }
 
     fn next_packet(&mut self, models: &DataModelSet, rng: &mut SmallRng) -> GeneratedPacket {
-        let mut seed = Seed::new(Vec::new(), "", false);
+        let mut seed = Seed::default();
         self.next_packet_into(models, rng, &mut seed);
         seed
     }

@@ -5,7 +5,7 @@ use std::fmt;
 use peachstar_coverage::PathId;
 
 /// A generated packet together with its provenance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Seed {
     /// The packet bytes fed to the target.
     pub bytes: Vec<u8>,

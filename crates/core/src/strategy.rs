@@ -275,7 +275,7 @@ impl GenerationStrategy for RandomGenerationStrategy {
     }
 
     fn next_packet(&mut self, models: &DataModelSet, rng: &mut SmallRng) -> GeneratedPacket {
-        let mut seed = Seed::new(Vec::new(), "", false);
+        let mut seed = Seed::default();
         self.next_packet_into(models, rng, &mut seed);
         seed
     }
@@ -510,7 +510,7 @@ impl GenerationStrategy for SemanticAwareStrategy {
     }
 
     fn next_packet(&mut self, models: &DataModelSet, rng: &mut SmallRng) -> GeneratedPacket {
-        let mut seed = Seed::new(Vec::new(), "", false);
+        let mut seed = Seed::default();
         self.next_packet_into(models, rng, &mut seed);
         seed
     }

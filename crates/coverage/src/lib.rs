@@ -71,7 +71,9 @@ pub use trace::{EdgeId, PathId, SparseTrace, TraceContext, TraceMap};
 /// This macro is the stand-in for the compile-time-random block identifiers
 /// that the paper's LLVM pass would insert: the identifier is a hash of the
 /// file, line and column of the macro invocation, so every textual call site
-/// gets a distinct, stable [`EdgeId`].
+/// gets a distinct, stable [`EdgeId`]. Like AFL's `cur_location`, the id is a
+/// compile-time constant: the expansion binds [`site_id`] in a `const` item,
+/// so an edge hit costs only the map update.
 ///
 /// ```
 /// use peachstar_coverage::{cov_edge, TraceContext};
@@ -93,48 +95,58 @@ pub use trace::{EdgeId, PathId, SparseTrace, TraceContext, TraceMap};
 /// ```
 #[macro_export]
 macro_rules! cov_edge {
-    ($ctx:expr) => {
-        $ctx.edge($crate::site_id(file!(), line!(), column!()))
-    };
+    ($ctx:expr) => {{
+        const SITE: $crate::EdgeId = $crate::site_id(file!(), line!(), column!());
+        $ctx.edge(SITE)
+    }};
     // Value-discriminated form: stands in for data-dependent dispatch in the
     // original targets (per-zone callbacks, per-type jump tables), where
     // different values of a field reach different basic blocks. The
-    // discriminator is folded into the site id so each class is its own edge.
-    ($ctx:expr, $discriminator:expr) => {
+    // discriminator is folded into the site id so each class is its own edge;
+    // only that fold happens at run time.
+    ($ctx:expr, $discriminator:expr) => {{
+        const SITE: u32 = $crate::site_id(file!(), line!(), column!()).raw();
         $ctx.edge($crate::EdgeId::new(
-            $crate::site_id(file!(), line!(), column!()).raw()
-                ^ (($discriminator as u32) & 0x3f).rotate_left(10),
+            SITE ^ (($discriminator as u32) & 0x3f).rotate_left(10),
         ))
-    };
+    }};
 }
 
 /// Derives a stable pseudo-random site identifier from a source location.
 ///
-/// Used by [`cov_edge!`]; exposed so that targets which generate their own
-/// instrumentation points (e.g. table-driven parsers) can produce identifiers
-/// from strings of their choosing.
+/// The hash is FNV-1a over the file name's bytes followed by the
+/// little-endian line and column: stable across runs and builds, and well
+/// distributed over the 16-bit block-id space used by the trace map. It is a
+/// `const fn`, so [`cov_edge!`] evaluates it at compile time and the loop
+/// never runs on the fuzzing path. Targets which generate their own
+/// instrumentation points (e.g. table-driven parsers) can call it on strings
+/// of their choosing; bind the result in a `const` to keep it off the hot
+/// path too.
 ///
 /// ```
-/// let a = peachstar_coverage::site_id("modbus.rs", 10, 5);
-/// let b = peachstar_coverage::site_id("modbus.rs", 11, 5);
-/// assert_ne!(a, b);
+/// use peachstar_coverage::{site_id, EdgeId};
+///
+/// const DISPATCH: EdgeId = site_id("modbus.rs", 10, 5);
+/// assert_eq!(DISPATCH, site_id("modbus.rs", 10, 5));
+/// assert_ne!(DISPATCH, site_id("modbus.rs", 11, 5));
 /// ```
 #[must_use]
-pub fn site_id(file: &str, line: u32, column: u32) -> EdgeId {
-    // FNV-1a over the location string pieces; cheap, stable across runs and
-    // well distributed over the 16-bit block-id space used by the trace map.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in file
-        .as_bytes()
-        .iter()
-        .copied()
-        .chain(line.to_le_bytes())
-        .chain(column.to_le_bytes())
-    {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+pub const fn site_id(file: &str, line: u32, column: u32) -> EdgeId {
+    let mut hash = fnv1a(0xcbf2_9ce4_8422_2325, file.as_bytes());
+    hash = fnv1a(hash, &line.to_le_bytes());
+    hash = fnv1a(hash, &column.to_le_bytes());
     EdgeId::new((hash ^ (hash >> 32)) as u32)
+}
+
+/// One FNV-1a pass over `bytes`, continuing from `hash`.
+const fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    let mut index = 0;
+    while index < bytes.len() {
+        hash ^= bytes[index] as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        index += 1;
+    }
+    hash
 }
 
 #[cfg(test)]
@@ -158,6 +170,59 @@ mod tests {
             for j in (i + 1)..ids.len() {
                 assert_ne!(ids[i], ids[j], "ids {i} and {j} collide");
             }
+        }
+    }
+
+    #[test]
+    fn site_id_matches_golden_values() {
+        // A change here renumbers every edge and so moves every pinned
+        // campaign result.
+        let golden = [
+            (("a.rs", 1, 1), 0xf524_2b09),
+            (("crates/protocols/src/modbus.rs", 120, 9), 0x4a56_e911),
+            (("crates/coverage/src/lib.rs", 1, 1), 0xd70b_b6be),
+            (("", 0, 0), 0x80dd_c1f7),
+            (("modbus.rs", 10, 5), 0x6c6e_8f0c),
+        ];
+        for ((file, line, column), raw) in golden {
+            assert_eq!(site_id(file, line, column).raw(), raw, "{file}:{line}:{column}");
+        }
+    }
+
+    /// Expands `cov_edge!` and the runtime `site_id` at one call site:
+    /// `line!()`/`column!()` resolve to this macro's invocation in both.
+    macro_rules! edge_and_runtime_id {
+        ($ctx:expr) => {
+            (cov_edge!($ctx), site_id(file!(), line!(), column!()))
+        };
+        ($ctx:expr, $discriminator:expr) => {
+            (cov_edge!($ctx, $discriminator), site_id(file!(), line!(), column!()))
+        };
+    }
+
+    fn hits(ctx: &TraceContext) -> Vec<(usize, u8)> {
+        ctx.trace().iter_hits().collect()
+    }
+
+    #[test]
+    fn macro_records_the_runtime_site_id() {
+        let mut ctx = TraceContext::new();
+        let mut expected = TraceContext::new();
+        let ((), first) = edge_and_runtime_id!(ctx);
+        expected.edge(first);
+        let ((), second) = edge_and_runtime_id!(ctx);
+        expected.edge(second);
+        assert_ne!(first, second, "distinct lines are distinct sites");
+        assert_eq!(hits(&ctx), hits(&expected));
+
+        for discriminator in [0u8, 1, 0x3f, 0x40, 0xff] {
+            let mut ctx = TraceContext::new();
+            let ((), site) = edge_and_runtime_id!(ctx, discriminator);
+            let mut expected = TraceContext::new();
+            expected.edge(EdgeId::new(
+                site.raw() ^ ((u32::from(discriminator)) & 0x3f).rotate_left(10),
+            ));
+            assert_eq!(hits(&ctx), hits(&expected), "discriminator {discriminator}");
         }
     }
 

@@ -27,7 +27,10 @@
 //!
 //! [`FrameReassembler`] is the streaming decoder: bytes arrive in arbitrary
 //! splits (TCP guarantees nothing about read boundaries) and messages pop
-//! out whole once their final byte lands.
+//! out whole once their final byte lands. It buffers at most one message of
+//! [`MAX_MESSAGE`] bytes: a longer raw length prefix or TPKT chain is a
+//! framing error, so a desynchronised or hostile peer cannot make either
+//! endpoint grow its buffers without bound.
 
 use std::io::{self, Read, Write};
 
@@ -47,6 +50,17 @@ const COTP_EOT: u8 = 0x80;
 const TPKT_HEADER: usize = 7;
 /// Maximum user-data bytes in one TPKT frame (total length is a `u16`).
 const TPKT_MAX_USER: usize = u16::MAX as usize - TPKT_HEADER;
+
+/// Largest message payload either endpoint accepts, in bytes.
+///
+/// The largest legitimate messages are a window's [`Request::Batch`] and the
+/// client's journal replay, which is one reset window of packets. Generated
+/// packets stay under about 300 bytes, so a window at the default 2 000
+/// executions per reset stays under 1 MiB. 16 MiB leaves that more than 16×
+/// headroom. [`FrameReassembler`] rejects a raw length prefix above the cap
+/// as soon as the header arrives, and a TPKT chain as soon as its DT TPDUs
+/// would exceed it.
+pub const MAX_MESSAGE: usize = 16 << 20;
 
 /// How messages are delimited on the TCP stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,9 +173,12 @@ impl FrameReassembler {
     }
 
     /// Appends raw stream bytes.
+    ///
+    /// Consumed bytes are dropped first, so the buffer holds only the
+    /// unparsed tail: at most one frame in flight plus the new bytes.
     pub fn push(&mut self, bytes: &[u8]) {
-        if self.consumed == self.buffer.len() {
-            self.buffer.clear();
+        if self.consumed > 0 {
+            self.buffer.drain(..self.consumed);
             self.consumed = 0;
         }
         self.buffer.extend_from_slice(bytes);
@@ -179,7 +196,8 @@ impl FrameReassembler {
     /// # Errors
     ///
     /// Returns a [`WireError`] when the buffered bytes violate the framing
-    /// (bad TPKT version, non-DT TPDU, impossible length).
+    /// (bad TPKT version, non-DT TPDU, impossible length, a message longer
+    /// than [`MAX_MESSAGE`]).
     pub fn next_message(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         loop {
             let pending = &self.buffer[self.consumed..];
@@ -189,6 +207,9 @@ impl FrameReassembler {
                         return Ok(None);
                     };
                     let len = u32::from_be_bytes(header.try_into().expect("4 bytes")) as usize;
+                    if len > MAX_MESSAGE {
+                        return Err(WireError("raw frame length exceeds MAX_MESSAGE"));
+                    }
                     let Some(payload) = pending.get(4..4 + len) else {
                         return Ok(None);
                     };
@@ -217,7 +238,11 @@ impl FrameReassembler {
                     if eot != COTP_EOT && eot != 0x00 {
                         return Err(WireError("bad COTP end-of-TSDU flag"));
                     }
-                    self.partial.extend_from_slice(&frame[TPKT_HEADER..]);
+                    let user = &frame[TPKT_HEADER..];
+                    if self.partial.len() + user.len() > MAX_MESSAGE {
+                        return Err(WireError("TPKT message exceeds MAX_MESSAGE"));
+                    }
+                    self.partial.extend_from_slice(user);
                     self.consumed += total;
                     if eot == COTP_EOT {
                         return Ok(Some(std::mem::take(&mut self.partial)));
@@ -643,6 +668,74 @@ mod tests {
         let mut reassembler = FrameReassembler::new(WireFraming::Tpkt);
         reassembler.push(&[0x03, 0x00, 0x00, 0x07, 0x02, 0xE0, 0x80]);
         assert!(reassembler.next_message().is_err(), "not a DT TPDU");
+    }
+
+    /// Serves `header` once, then `body` forever, counting the bytes read.
+    struct EndlessStream {
+        header: Vec<u8>,
+        body: Vec<u8>,
+        at: usize,
+        served: usize,
+    }
+
+    impl Read for EndlessStream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let source = if self.served < self.header.len() {
+                &self.header[self.served..]
+            } else {
+                &self.body[self.at..]
+            };
+            let read = source.len().min(buf.len());
+            buf[..read].copy_from_slice(&source[..read]);
+            if self.served >= self.header.len() {
+                self.at = (self.at + read) % self.body.len();
+            }
+            self.served += read;
+            Ok(read)
+        }
+    }
+
+    fn recv_endless(framing: WireFraming, header: Vec<u8>, body: Vec<u8>) -> (io::Error, usize) {
+        let mut stream = EndlessStream {
+            header,
+            body,
+            at: 0,
+            served: 0,
+        };
+        let error = MessageStream::new(framing)
+            .recv(&mut stream)
+            .expect_err("an oversized message is a framing error");
+        (error, stream.served)
+    }
+
+    #[test]
+    fn raw_length_above_the_cap_fails_on_the_header() {
+        let mut reassembler = FrameReassembler::new(WireFraming::Raw);
+        reassembler.push(&u32::MAX.to_be_bytes());
+        assert_eq!(
+            reassembler.next_message(),
+            Err(WireError("raw frame length exceeds MAX_MESSAGE"))
+        );
+
+        let (error, served) =
+            recv_endless(WireFraming::Raw, u32::MAX.to_be_bytes().to_vec(), vec![0; 1024]);
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(served <= 16 * 1024, "read {served} bytes before failing");
+    }
+
+    #[test]
+    fn endless_tpkt_continuation_fails_after_the_cap() {
+        // A maximal DT TPDU without EOT, repeated forever.
+        let mut continuation = WireFraming::Tpkt.frame(&vec![0x5A; TPKT_MAX_USER + 1]);
+        continuation.truncate(TPKT_HEADER + TPKT_MAX_USER);
+        assert_eq!(continuation[6], 0x00, "no EOT on the first segment");
+        let (error, served) = recv_endless(WireFraming::Tpkt, Vec::new(), continuation);
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            served <= MAX_MESSAGE + 2 * (TPKT_HEADER + TPKT_MAX_USER) + 16 * 1024,
+            "read {served} bytes before failing"
+        );
+        assert!(served >= MAX_MESSAGE, "legitimate sizes are accepted");
     }
 
     #[test]
