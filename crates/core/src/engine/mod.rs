@@ -90,13 +90,12 @@ where
     /// record → coverage merge → valuable verdict → schedule feedback →
     /// seed retention → series sample.
     pub fn step(&mut self, execution: u64, models: &DataModelSet, rng: &mut SmallRng) {
-        let mut packet = self.schedule.next_packet(models, rng);
-        self.execute_slot(execution, &mut packet, models);
+        self.run_span(execution, execution, models, rng);
     }
 
     /// Runs executions `start..=end` (1-based, inclusive) through
-    /// [`step`](Engine::step)'s seams — the window body of the sequential
-    /// driver.
+    /// [`step`](Engine::step)'s seams in its order — the window body of the
+    /// sequential driver, and the body of `step` itself.
     ///
     /// Every execution is generated into one packet slot through
     /// [`Schedule::next_packet_into`], which is observationally identical to
@@ -104,39 +103,33 @@ where
     /// and model-name string instead of allocating a fresh seed per
     /// execution.
     pub(crate) fn run_span(&mut self, start: u64, end: u64, models: &DataModelSet, rng: &mut SmallRng) {
-        let mut slot = GeneratedPacket::default();
+        let mut packet = GeneratedPacket::default();
         for execution in start..=end {
-            self.schedule.next_packet_into(models, rng, &mut slot);
-            self.execute_slot(execution, &mut slot, models);
+            self.schedule.next_packet_into(models, rng, &mut packet);
+            let (outcome, trace) = self.executor.execute(execution, &packet.bytes);
+            self.monitor
+                .record(execution, &packet, OutcomeSummary::from(&outcome));
+            let merge = self.observer.merge(trace);
+            let valuable = self.feedback.is_interesting(&merge);
+            self.schedule.feedback(&FeedbackEvent {
+                execution,
+                packet: &packet,
+                valuable,
+                merge: &merge,
+                models,
+            });
+            if valuable {
+                // The schedule only borrows the packet, so retention moves the
+                // rare valuable packet's buffers into the pool instead of
+                // cloning; the emptied slot regrows on the next generation.
+                self.feedback.retain(std::mem::take(&mut packet), &merge);
+            }
+            self.monitor.sample(
+                execution,
+                self.observer.paths_covered(),
+                self.observer.edges_covered(),
+            );
         }
-    }
-
-    /// Executes a generated packet and folds the result through the seams in
-    /// [`step`](Engine::step)'s order.
-    fn execute_slot(&mut self, execution: u64, packet: &mut GeneratedPacket, models: &DataModelSet) {
-        let (outcome, trace) = self.executor.execute(execution, &packet.bytes);
-        self.monitor
-            .record(execution, packet, OutcomeSummary::from(&outcome));
-        let merge = self.observer.merge(trace);
-        let valuable = self.feedback.is_interesting(&merge);
-        self.schedule.feedback(&FeedbackEvent {
-            execution,
-            packet,
-            valuable,
-            merge: &merge,
-            models,
-        });
-        if valuable {
-            // The schedule only borrows the packet, so retention moves the
-            // rare valuable packet's buffers into the pool instead of cloning;
-            // the emptied slot regrows on the next generation.
-            self.feedback.retain(std::mem::take(packet), &merge);
-        }
-        self.monitor.sample(
-            execution,
-            self.observer.paths_covered(),
-            self.observer.edges_covered(),
-        );
     }
 }
 

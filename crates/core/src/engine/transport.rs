@@ -38,6 +38,11 @@
 //! deterministic server-side chaos injector, which drops connections before
 //! processing the dropped frame).
 //!
+//! Windows and replays larger than
+//! [`MAX_MESSAGE`](peachstar_protocols::wire::MAX_MESSAGE) cross the wire as
+//! consecutive batches ([`request_runs`]), so no reset cadence can produce a
+//! message the peer rejects.
+//!
 //! Only when the retry budget is exhausted does the target panic — with a
 //! stable, attempt-count-free message that carries the error class
 //! ("connection-refused" dedups apart from "connection-reset"), so the
@@ -53,7 +58,9 @@ use std::time::Duration;
 use peachstar_coverage::TraceContext;
 use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::server::{serve_with_chaos, ServerHandle, WireChaos};
-use peachstar_protocols::wire::{MessageStream, Request, Response, WireFraming};
+use peachstar_protocols::wire::{
+    request_runs, MessageStream, Request, Response, WireError, WireFraming,
+};
 use peachstar_protocols::{DecodeSink, Outcome, Target, WindowResults};
 
 /// Which transport carries packets from the executor to the target.
@@ -256,8 +263,9 @@ pub struct FramedTcpTarget {
     payload: Vec<u8>,
     /// Every packet sent since the last successful `Reset`, in order —
     /// replayed onto a fresh connection so the replacement server-side
-    /// target re-derives the lost one's state. Cleared on reset, so the
-    /// executor's window cadence bounds its size.
+    /// target re-derives the lost one's state. Cleared on reset; with
+    /// periodic resets disabled it grows for the whole campaign, which is
+    /// why the replay goes out in [`request_runs`].
     journal: Vec<Vec<u8>>,
 }
 
@@ -315,11 +323,34 @@ impl FramedTcpTarget {
     /// framing-stream error comes back as its dedup class for the recovery
     /// loop; a *decodable but malformed* response still panics — that is a
     /// protocol bug, not a flapping wire.
+    ///
+    /// A [`Request::Batch`] must fit in one message (callers split windows
+    /// with [`request_runs`]); its records may come back over several
+    /// [`Response::Batch`] messages, which are joined here.
     fn try_exchange(&mut self, request: &Request) -> Result<Response, &'static str> {
         request.encode_into(&mut self.payload);
-        self.messages
-            .send(&mut self.stream, &self.payload)
-            .map_err(|error| error_class(error.kind()))?;
+        if let Err(error) = self.messages.send(&mut self.stream, &self.payload) {
+            // An oversized message is refused the same way on every
+            // connection: not a flapping wire, so never retried.
+            if error.get_ref().is_some_and(|inner| inner.is::<WireError>()) {
+                panic!("framed-tcp transport: {error}");
+            }
+            return Err(error_class(error.kind()));
+        }
+        let mut response = self.try_recv()?;
+        if let (Request::Batch { packets, .. }, Response::Batch(records)) = (request, &mut response) {
+            while records.len() < packets.len() {
+                match self.try_recv()? {
+                    Response::Batch(more) => records.extend(more),
+                    other => panic!("framed-tcp transport: unexpected reply {other:?}"),
+                }
+            }
+        }
+        Ok(response)
+    }
+
+    /// Receives and decodes one response message.
+    fn try_recv(&mut self) -> Result<Response, &'static str> {
         let reply = match self.messages.recv(&mut self.stream) {
             Ok(Some(reply)) => reply,
             // A clean server-side close mid-campaign is still a lost
@@ -346,14 +377,21 @@ impl FramedTcpTarget {
         if self.journal.is_empty() {
             return Ok(());
         }
-        let replay = Request::Batch {
-            sink: DecodeSink::Summary,
-            packets: self.journal.clone(),
-        };
-        match self.try_exchange(&replay)? {
-            Response::Batch(_) => Ok(()),
-            other => panic!("framed-tcp transport: unexpected reply {other:?}"),
-        }
+        // The journal outgrows one message when resets are rare; replay it
+        // in order, one run per message.
+        let journal = std::mem::take(&mut self.journal);
+        let replayed = request_runs(&journal).try_for_each(|run| {
+            let replay = Request::Batch {
+                sink: DecodeSink::Summary,
+                packets: run.to_vec(),
+            };
+            match self.try_exchange(&replay)? {
+                Response::Batch(_) => Ok(()),
+                other => panic!("framed-tcp transport: unexpected reply {other:?}"),
+            }
+        });
+        self.journal = journal;
+        replayed
     }
 
     /// One request/response exchange with recovery: a lost connection is
@@ -455,28 +493,32 @@ impl Target for FramedTcpTarget {
         out: &mut WindowResults,
         sink: DecodeSink,
     ) {
-        let request = Request::Batch {
-            sink,
-            packets: packets.iter().map(|p| p.to_vec()).collect(),
-        };
-        match self.exchange(&request) {
-            Response::Batch(records) => {
-                assert_eq!(
-                    records.len(),
-                    packets.len(),
-                    "framed-tcp transport: window record count mismatch"
-                );
-                out.begin();
-                for (summary, trace) in &records {
-                    out.record_sparse(*summary, trace);
+        out.begin();
+        // A window larger than one message goes out as consecutive batches;
+        // the server runs them in order, so the records are the same.
+        for run in request_runs(packets) {
+            let request = Request::Batch {
+                sink,
+                packets: run.iter().map(|p| p.to_vec()).collect(),
+            };
+            match self.exchange(&request) {
+                Response::Batch(records) => {
+                    assert_eq!(
+                        records.len(),
+                        run.len(),
+                        "framed-tcp transport: window record count mismatch"
+                    );
+                    for (summary, trace) in &records {
+                        out.record_sparse(*summary, trace);
+                    }
+                    // The in-process default leaves the last execution's
+                    // trace in `ctx`; mirror that.
+                    if let Some((_, last)) = records.last() {
+                        ctx.load_sparse(last);
+                    }
                 }
-                // The in-process default leaves the last execution's trace
-                // in `ctx`; mirror that.
-                if let Some((_, last)) = records.last() {
-                    ctx.load_sparse(last);
-                }
+                other => panic!("framed-tcp transport: unexpected reply {other:?}"),
             }
-            other => panic!("framed-tcp transport: unexpected reply {other:?}"),
         }
     }
 
@@ -614,6 +656,113 @@ mod tests {
         });
         let message = result.expect_err("connect must fail against a closed port");
         assert_eq!(message, connection_loss_message("connection-refused"));
+    }
+
+    #[test]
+    fn windows_and_replays_larger_than_max_message_cross_the_wire() {
+        use crate::engine::executor::{ResetPolicy, TargetExecutor};
+        use crate::engine::Executor;
+        use peachstar_protocols::wire::MAX_MESSAGE;
+
+        // With periodic resets disabled nothing clears the journal. A window
+        // of 24 one-MiB packets exceeds MAX_MESSAGE, and frame 3 — the first
+        // request after the window's two batches — is dropped before it is
+        // processed, so the recovery replays a journal that exceeds it too.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let _server = serve_with_chaos(
+            listener,
+            TargetId::Iec104.create_send(),
+            WireChaos::drop_every(3).limit(1),
+        )
+        .expect("serve");
+        let tcp = FramedTcpTarget::connect_with(
+            TargetId::Iec104.create_send(),
+            addr,
+            ReconnectPolicy::immediate(5),
+        );
+        let mut over_wire = TargetExecutor::with_policy(Box::new(tcp), ResetPolicy::Interval(0));
+        let mut direct = TargetExecutor::with_policy(TargetId::Iec104.create(), ResetPolicy::Interval(0));
+
+        let startdt = [0x68u8, 0x04, 0x07, 0x00, 0x00, 0x00];
+        let testfr = [0x68u8, 0x04, 0x43, 0x00, 0x00, 0x00];
+        let mut window = vec![startdt.to_vec()];
+        window.extend((0..24u8).map(|fill| {
+            let mut packet = vec![fill; 1 << 20];
+            packet[..6].copy_from_slice(&testfr);
+            packet
+        }));
+        assert!(window.iter().map(Vec::len).sum::<usize>() > MAX_MESSAGE);
+        let window: Vec<&[u8]> = window.iter().map(Vec::as_slice).collect();
+        let collect = |results: &WindowResults| -> Vec<(OutcomeSummary, peachstar_coverage::SparseTrace)> {
+            results.iter().map(|(s, t)| (*s, t.clone())).collect()
+        };
+        let mut tcp_window = WindowResults::new();
+        let mut ref_window = WindowResults::new();
+        over_wire.execute_window(1, &window, &mut tcp_window);
+        direct.execute_window(1, &window, &mut ref_window);
+        assert_eq!(collect(&tcp_window), collect(&ref_window));
+
+        let next = window.len() as u64 + 1;
+        for (offset, packet) in [&testfr[..], &startdt[..], &[0xFFu8][..]].into_iter().enumerate() {
+            let execution = next + offset as u64;
+            let (tcp_outcome, tcp_trace) = over_wire.execute(execution, packet);
+            let tcp_trace = tcp_trace.to_sparse();
+            let (ref_outcome, ref_trace) = direct.execute(execution, packet);
+            assert_eq!(tcp_outcome, ref_outcome, "replay restores the session state");
+            assert_eq!(tcp_trace, ref_trace.to_sparse());
+        }
+    }
+
+    /// Records every map slot on every packet: 3 bytes per edge on the
+    /// wire, so a window of 90 replies in more than one message.
+    struct WideTarget;
+
+    impl Target for WideTarget {
+        fn name(&self) -> &'static str {
+            "wide"
+        }
+
+        fn data_models(&self) -> DataModelSet {
+            DataModelSet::default()
+        }
+
+        fn process(&mut self, packet: &[u8], ctx: &mut TraceContext) -> Outcome {
+            let count = packet.first().copied().unwrap_or(1).max(1);
+            ctx.load_sparse(&peachstar_coverage::SparseTrace::from_hits(
+                (0..=u16::MAX).map(|slot| (slot, count)),
+            ));
+            Outcome::Response(packet.to_vec())
+        }
+
+        fn reset(&mut self) {}
+
+        fn clone_fresh(&self) -> Box<dyn Target + Send> {
+            Box::new(WideTarget)
+        }
+    }
+
+    #[test]
+    fn replies_larger_than_max_message_are_joined() {
+        let (mut tcp, _guard) = deploy_tcp(&WideTarget, ReconnectPolicy::default(), WireChaos::default());
+        let packets: Vec<[u8; 1]> = (0..90u8).map(|i| [i]).collect();
+        let window: Vec<&[u8]> = packets.iter().map(|p| &p[..]).collect();
+        let mut tcp_ctx = TraceContext::new();
+        let mut ref_ctx = TraceContext::new();
+        let mut over_wire = WindowResults::new();
+        let mut direct = WindowResults::new();
+        tcp.process_batch(&window, &mut tcp_ctx, &mut over_wire, DecodeSink::Summary);
+        WideTarget.process_batch(&window, &mut ref_ctx, &mut direct, DecodeSink::Summary);
+        let collect = |results: &WindowResults| -> Vec<(OutcomeSummary, peachstar_coverage::SparseTrace)> {
+            results.iter().map(|(s, t)| (*s, t.clone())).collect()
+        };
+        assert_eq!(collect(&over_wire), collect(&direct));
+        assert_eq!(tcp_ctx.trace().to_sparse(), ref_ctx.trace().to_sparse());
+        // The connection stays in step: the next exchange gets its own reply.
+        tcp.reset();
+        tcp_ctx.reset();
+        ref_ctx.reset();
+        assert_eq!(tcp.process(&[7], &mut tcp_ctx), WideTarget.process(&[7], &mut ref_ctx));
     }
 
     #[test]

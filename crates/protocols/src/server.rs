@@ -23,7 +23,10 @@
 //!   the per-packet results are identical to the batched ones (proven by the
 //!   batch-equivalence tests). Containing per packet server-side means a
 //!   client-visible window never fails, which is what makes TCP campaigns
-//!   reduce to the same records as in-process ones.
+//!   reduce to the same records as in-process ones. The records go back in
+//!   as many [`Response::Batch`] messages as
+//!   [`MAX_MESSAGE`](crate::wire::MAX_MESSAGE) requires
+//!   ([`response_runs`]).
 //! * **Panic containment is server-side** ([`crate::containment`]): a target
 //!   panic must become a `Panic` fault on the wire, not a dead handler
 //!   thread and a broken socket.
@@ -43,7 +46,7 @@ use std::thread::JoinHandle;
 use peachstar_coverage::TraceContext;
 
 use crate::containment::{contained, panic_fault};
-use crate::wire::{MessageStream, Request, Response, WireFraming};
+use crate::wire::{response_runs, MessageStream, Request, Response, WireFraming};
 use crate::{Outcome, OutcomeSummary, Target};
 
 /// Deterministic server-side failure injection for [`serve_with_chaos`]:
@@ -281,7 +284,13 @@ fn handle_connection(
                     let (outcome, trace) = execute_one(&mut target, &*spare, &mut ctx, packet);
                     records.push((OutcomeSummary::from(&outcome), trace));
                 }
-                Response::Batch(std::mem::take(&mut records))
+                // One message per run keeps every reply under MAX_MESSAGE;
+                // the client reads runs until it holds one record per packet.
+                for run in response_runs(&records) {
+                    Response::encode_batch_into(run, &mut payload);
+                    messages.send(&mut stream, &payload)?;
+                }
+                continue;
             }
             Request::Reset => {
                 target.reset();

@@ -51,15 +51,21 @@ const TPKT_HEADER: usize = 7;
 /// Maximum user-data bytes in one TPKT frame (total length is a `u16`).
 const TPKT_MAX_USER: usize = u16::MAX as usize - TPKT_HEADER;
 
-/// Largest message payload either endpoint accepts, in bytes.
+/// Largest message payload either endpoint sends or accepts, in bytes.
 ///
-/// The largest legitimate messages are a window's [`Request::Batch`] and the
-/// client's journal replay, which is one reset window of packets. Generated
-/// packets stay under about 300 bytes, so a window at the default 2 000
-/// executions per reset stays under 1 MiB. 16 MiB leaves that more than 16×
-/// headroom. [`FrameReassembler`] rejects a raw length prefix above the cap
-/// as soon as the header arrives, and a TPKT chain as soon as its DT TPDUs
-/// would exceed it.
+/// Legitimate traffic fits by construction. The messages that grow with the
+/// reset window are a window's [`Request::Batch`] and the client's journal
+/// replay, which holds every packet since the last reset — the whole
+/// campaign when periodic resets are disabled. Both are split by
+/// [`request_runs`] into consecutive batches that each fit; the server runs
+/// them in order, so the records are unchanged. A [`Response::Batch`]
+/// carries a summary and 3 bytes per trace edge for every record, and the
+/// server splits it the same way with [`response_runs`]; the client reads
+/// records until it holds one per packet. Only a single packet or record
+/// larger than the cap cannot be split, and [`MessageStream::send`] refuses
+/// it with a [`WireError`]. On the receiving side, [`FrameReassembler`]
+/// rejects a raw length prefix above the cap as soon as the header arrives,
+/// and a TPKT chain as soon as its DT TPDUs would exceed it.
 pub const MAX_MESSAGE: usize = 16 << 20;
 
 /// How messages are delimited on the TCP stream.
@@ -153,7 +159,10 @@ impl From<WireError> for io::Error {
 pub struct FrameReassembler {
     framing: WireFraming,
     /// Unconsumed stream bytes; `consumed` marks the parse position so
-    /// steady-state reassembly never shifts the buffer per frame.
+    /// [`next_message`](FrameReassembler::next_message) never shifts the
+    /// buffer per frame. [`push`](FrameReassembler::push) compacts the
+    /// buffer once per read so it holds only the unparsed tail, which is
+    /// what keeps it bounded.
     buffer: Vec<u8>,
     consumed: usize,
     /// User data of the in-flight TPKT message (DT TPDUs seen so far).
@@ -280,8 +289,13 @@ impl MessageStream {
     ///
     /// # Errors
     ///
-    /// Propagates the underlying write error.
+    /// Refuses a payload longer than [`MAX_MESSAGE`] with a [`WireError`]
+    /// ([`io::ErrorKind::InvalidData`]) before writing anything — the peer
+    /// would reject it. Otherwise propagates the underlying write error.
     pub fn send(&mut self, writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+        if payload.len() > MAX_MESSAGE {
+            return Err(WireError("message exceeds MAX_MESSAGE").into());
+        }
         self.scratch.clear();
         self.framing.frame_into(payload, &mut self.scratch);
         writer.write_all(&self.scratch)
@@ -317,6 +331,53 @@ impl MessageStream {
 }
 
 // === Message payload codec =================================================
+
+/// Bytes of a [`Request::Batch`] message before its packets: tag, sink, count.
+const BATCH_REQUEST_HEADER: usize = 6;
+/// Bytes of a [`Response::Batch`] message before its records: tag, count.
+const BATCH_RESPONSE_HEADER: usize = 5;
+
+/// Splits a window's packets into consecutive runs whose [`Request::Batch`]
+/// encoding fits in [`MAX_MESSAGE`]. An empty window is one empty run.
+pub fn request_runs<P: AsRef<[u8]>>(packets: &[P]) -> impl Iterator<Item = &[P]> {
+    runs(packets, BATCH_REQUEST_HEADER, |packet| 4 + packet.as_ref().len())
+}
+
+/// Splits a window's records into consecutive runs whose [`Response::Batch`]
+/// encoding fits in [`MAX_MESSAGE`]. An empty window is one empty run.
+pub fn response_runs(
+    records: &[(OutcomeSummary, SparseTrace)],
+) -> impl Iterator<Item = &[(OutcomeSummary, SparseTrace)]> {
+    runs(records, BATCH_RESPONSE_HEADER, |(summary, trace)| {
+        let summary = match summary {
+            OutcomeSummary::Response | OutcomeSummary::ProtocolError => 1,
+            OutcomeSummary::Fault(fault) => 2 + 4 + fault.site.len(),
+        };
+        summary + 4 + 3 * trace.edges_hit()
+    })
+}
+
+/// Greedy split of `items` into runs of at most [`MAX_MESSAGE`] bytes, given
+/// a per-message `header` and each item's encoded `size`. An item too large
+/// on its own gets a run of its own, which [`MessageStream::send`] refuses.
+fn runs<T>(items: &[T], header: usize, size: impl Fn(&T) -> usize) -> impl Iterator<Item = &[T]> {
+    let mut rest = Some(items);
+    std::iter::from_fn(move || {
+        let items = rest?;
+        let mut bytes = header;
+        let mut take = 0;
+        for item in items {
+            bytes += size(item);
+            if take > 0 && bytes > MAX_MESSAGE {
+                break;
+            }
+            take += 1;
+        }
+        let (run, tail) = items.split_at(take);
+        rest = (!tail.is_empty()).then_some(tail);
+        Some(run)
+    })
+}
 
 const REQ_PROCESS: u8 = 0x01;
 const REQ_BATCH: u8 = 0x02;
@@ -568,16 +629,21 @@ impl Response {
                 put_outcome(out, outcome);
                 put_trace(out, trace);
             }
-            Response::Batch(records) => {
-                out.push(RESP_BATCH);
-                let count = u32::try_from(records.len()).expect("window fits in u32");
-                out.extend_from_slice(&count.to_le_bytes());
-                for (summary, trace) in records {
-                    put_summary(out, *summary);
-                    put_trace(out, trace);
-                }
-            }
+            Response::Batch(records) => Self::encode_batch_into(records, out),
             Response::ResetDone => out.push(RESP_RESET),
+        }
+    }
+
+    /// Serialises a [`Response::Batch`] of `records` without owning them —
+    /// the server encodes each of a window's [`response_runs`] in place.
+    pub fn encode_batch_into(records: &[(OutcomeSummary, SparseTrace)], out: &mut Vec<u8>) {
+        out.clear();
+        out.push(RESP_BATCH);
+        let count = u32::try_from(records.len()).expect("window fits in u32");
+        out.extend_from_slice(&count.to_le_bytes());
+        for (summary, trace) in records {
+            put_summary(out, *summary);
+            put_trace(out, trace);
         }
     }
 
@@ -736,6 +802,75 @@ mod tests {
             "read {served} bytes before failing"
         );
         assert!(served >= MAX_MESSAGE, "legitimate sizes are accepted");
+    }
+
+    #[test]
+    fn send_refuses_a_payload_above_the_cap() {
+        for framing in [WireFraming::Raw, WireFraming::Tpkt] {
+            let mut written = Vec::new();
+            let error = MessageStream::new(framing)
+                .send(&mut written, &vec![0; MAX_MESSAGE + 1])
+                .expect_err("an oversized payload is refused");
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+            assert!(error.get_ref().is_some_and(|inner| inner.is::<WireError>()));
+            assert!(written.is_empty(), "nothing reaches the stream");
+        }
+        let mut written = Vec::new();
+        MessageStream::new(WireFraming::Raw)
+            .send(&mut written, &vec![0; MAX_MESSAGE])
+            .expect("a payload of exactly MAX_MESSAGE is sent");
+        assert_eq!(written.len(), MAX_MESSAGE + 4);
+    }
+
+    #[test]
+    fn runs_are_greedy_and_fit_the_cap() {
+        let third = MAX_MESSAGE / 3;
+        let sizes = [third, third, third, 1, MAX_MESSAGE + 1, 1, 1];
+        let split: Vec<&[usize]> = runs(&sizes, 8, |&size| size).collect();
+        // 8 + 3·third overflows by 7 bytes; the oversized item runs alone.
+        assert_eq!(
+            split,
+            [&sizes[0..2], &sizes[2..4], &sizes[4..5], &sizes[5..7]],
+        );
+        let empty: Vec<&[usize]> = runs(&[], 8, |&size| size).collect();
+        assert_eq!(empty, [&[] as &[usize]], "an empty window is one empty run");
+    }
+
+    #[test]
+    fn request_and_response_runs_encode_under_the_cap() {
+        let packets = vec![vec![0x5A_u8; 6 << 20]; 3];
+        let mut payload = Vec::new();
+        let mut joined = Vec::new();
+        for run in request_runs(&packets) {
+            Request::Batch { sink: DecodeSink::Summary, packets: run.to_vec() }.encode_into(&mut payload);
+            assert!(payload.len() <= MAX_MESSAGE, "{} bytes", payload.len());
+            let Request::Batch { packets: decoded, .. } = Request::decode(&payload).unwrap() else {
+                panic!("batch request");
+            };
+            joined.extend(decoded);
+        }
+        assert_eq!(joined, packets);
+
+        // Every record hits all MAP_SIZE slots: 3 bytes per edge, so a
+        // window of 90 needs two messages.
+        let wide = SparseTrace::from_hits((0..=u16::MAX).map(|slot| (slot, 1)));
+        let fault = OutcomeSummary::Fault(Fault::new(FaultKind::Segv, "wire.rs:1"));
+        let records: Vec<_> = (0..90)
+            .map(|i| (if i % 7 == 0 { fault } else { OutcomeSummary::Response }, wide.clone()))
+            .collect();
+        let mut joined = Vec::new();
+        let mut messages = 0;
+        for run in response_runs(&records) {
+            Response::encode_batch_into(run, &mut payload);
+            assert!(payload.len() <= MAX_MESSAGE, "{} bytes", payload.len());
+            let Response::Batch(decoded) = Response::decode(&payload).unwrap() else {
+                panic!("batch response");
+            };
+            joined.extend(decoded);
+            messages += 1;
+        }
+        assert_eq!(messages, 2);
+        assert_eq!(joined, records);
     }
 
     #[test]
