@@ -136,9 +136,8 @@ pub fn generate_bytes_into(
     let roll: f64 = rng.gen();
     let start = out.len();
     if roll < 0.45 && !default.is_empty() {
-        // Default content resized to the target length.
-        out.extend(default.iter().copied().cycle().take(target_len));
-        out.resize(start + target_len, 0);
+        // Default content repeated or cut to the target length.
+        extend_cycled(out, default, target_len);
     } else if roll < 0.7 {
         // A repeated single byte.
         let byte: u8 = rng.gen();
@@ -174,13 +173,23 @@ pub fn generate_string_into(
             }
         }
     };
-    let start = out.len();
     if rng.gen_bool(0.55) && !default.is_empty() {
-        out.extend(default.bytes().cycle().take(target_len));
-        out.resize(start + target_len, b' ');
+        extend_cycled(out, default.as_bytes(), target_len);
     } else {
         const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789/$._-";
         out.extend((0..target_len).map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())]));
+    }
+}
+
+/// Appends `pattern` repeated, and cut, to exactly `len` bytes, one slice
+/// copy per repetition. `pattern` must not be empty.
+fn extend_cycled(out: &mut Vec<u8>, pattern: &[u8], len: usize) {
+    out.reserve(len);
+    let mut remaining = len;
+    while remaining > 0 {
+        let take = remaining.min(pattern.len());
+        out.extend_from_slice(&pattern[..take]);
+        remaining -= take;
     }
 }
 

@@ -3,6 +3,39 @@
 //! All algorithms are implemented from scratch (no external crates): IEEE
 //! CRC-32, CRC-16/Modbus, the DNP3 link-layer CRC, the Modbus ASCII LRC,
 //! plain summation checksums and the one's-complement internet checksum.
+//! The three CRCs are table-driven (one lookup per byte); their tables are
+//! built at compile time from the polynomials.
+
+/// Byte-at-a-time lookup table for a reflected CRC with polynomial `poly`
+/// (CRC-16 polynomials fit the same 32-bit register): entry `i` is the
+/// register after shifting byte `i` through eight bitwise steps.
+const fn reflected_table(poly: u32) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut index = 0;
+    while index < 256 {
+        let mut crc = index as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (poly & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[index] = crc;
+        index += 1;
+    }
+    table
+}
+
+static CRC32_TABLE: [u32; 256] = reflected_table(0xedb8_8320);
+static CRC16_MODBUS_TABLE: [u32; 256] = reflected_table(0xa001);
+static CRC16_DNP_TABLE: [u32; 256] = reflected_table(0xa6bc);
+
+/// Runs a reflected CRC register from `init` over `data`, one table lookup
+/// per byte.
+fn crc_reflected(table: &[u32; 256], init: u32, data: &[u8]) -> u32 {
+    data.iter().fold(init, |crc, &byte| {
+        table[usize::from((crc as u8) ^ byte)] ^ (crc >> 8)
+    })
+}
 
 /// IEEE CRC-32 (reflected, polynomial `0xEDB88320`, init/final xor `0xFFFFFFFF`).
 ///
@@ -15,15 +48,7 @@
 /// ```
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
+    !crc_reflected(&CRC32_TABLE, 0xffff_ffff, data)
 }
 
 /// CRC-16/Modbus (reflected polynomial `0xA001`, init `0xFFFF`, no final xor).
@@ -35,15 +60,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// ```
 #[must_use]
 pub fn crc16_modbus(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xffff;
-    for &byte in data {
-        crc ^= u16::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xa001 & mask);
-        }
-    }
-    crc
+    crc_reflected(&CRC16_MODBUS_TABLE, 0xffff, data) as u16
 }
 
 /// DNP3 link-layer CRC-16 (reflected polynomial `0xA6BC`, init `0x0000`,
@@ -54,15 +71,7 @@ pub fn crc16_modbus(data: &[u8]) -> u16 {
 /// ```
 #[must_use]
 pub fn crc16_dnp(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0x0000;
-    for &byte in data {
-        crc ^= u16::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xa6bc & mask);
-        }
-    }
-    !crc
+    !(crc_reflected(&CRC16_DNP_TABLE, 0x0000, data) as u16)
 }
 
 /// Longitudinal redundancy check as used by Modbus ASCII: the two's
@@ -147,6 +156,33 @@ pub fn dnp_block_with_crc(block: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Bit-at-a-time reflected CRC, the oracle for the table-driven kernels.
+    fn crc_bitwise(poly: u32, init: u32, data: &[u8]) -> u32 {
+        let mut crc = init;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (poly & mask);
+            }
+        }
+        crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn table_driven_crcs_match_the_bitwise_loops(
+            data in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            prop_assert_eq!(crc32(&data), !crc_bitwise(0xedb8_8320, 0xffff_ffff, &data));
+            prop_assert_eq!(u32::from(crc16_modbus(&data)), crc_bitwise(0xa001, 0xffff, &data));
+            prop_assert_eq!(crc16_dnp(&data), !(crc_bitwise(0xa6bc, 0, &data) as u16));
+        }
+    }
 
     #[test]
     fn crc32_empty_is_zero() {

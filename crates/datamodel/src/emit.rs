@@ -1,13 +1,13 @@
 //! Packet emission: serialising a data model's instantiation to bytes and
 //! re-establishing integrity constraints (the "File Fixup" of the paper).
 
-use std::ops::Range;
 use std::sync::Arc;
 
-use crate::chunk::{Chunk, ChunkKind};
+use crate::chunk::ChunkKind;
 use crate::error::ModelError;
 use crate::instree::{InsNode, InsTree};
-use crate::model::{DataModel, LinearLayout};
+use crate::model::{DataModel, LinearChunk, LinearLayout};
+use crate::types::LengthSpec;
 
 /// A leaf-value assignment for emission: raw bytes per leaf position of the
 /// model's [`LinearLayout`], in packet order.
@@ -57,6 +57,16 @@ impl ValueAssignment {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
+
+    /// The smallest assigned position `>= leaves`, if any — emission rejects
+    /// such assignments with [`ModelError::ValueIndexOutOfRange`].
+    fn index_beyond(&self, leaves: usize) -> Option<usize> {
+        self.values
+            .keys()
+            .copied()
+            .filter(|&index| index >= leaves)
+            .min()
+    }
 }
 
 impl FromIterator<(usize, Vec<u8>)> for ValueAssignment {
@@ -70,53 +80,19 @@ impl FromIterator<(usize, Vec<u8>)> for ValueAssignment {
     }
 }
 
-/// A source of leaf content for emission: one optional byte slice per leaf
-/// position of the model's [`LinearLayout`] (`None` falls back to the leaf's
-/// default value).
+/// Reusable emission workspace: the leaf-boundary table and the checksum
+/// buffers.
 ///
-/// [`ValueAssignment`] is the shared-ownership implementation (corpus donors
-/// as `Arc<[u8]>`); generation hot paths can implement the trait over plain
-/// reusable buffers instead and emit via [`emit_into`] without building an
-/// assignment map per packet.
-pub trait LeafSource {
-    /// The content for the leaf at linear position `index`, if any.
-    fn leaf(&self, index: usize) -> Option<&[u8]>;
-
-    /// A position `>= leaves` this source explicitly assigns content to, if
-    /// any — emission rejects such sources with
-    /// [`ModelError::ValueIndexOutOfRange`]. Sources that cannot hold
-    /// out-of-range positions keep the default `None`.
-    fn invalid_index(&self, leaves: usize) -> Option<usize> {
-        let _ = leaves;
-        None
-    }
-}
-
-impl LeafSource for ValueAssignment {
-    fn leaf(&self, index: usize) -> Option<&[u8]> {
-        self.get(index)
-    }
-
-    fn invalid_index(&self, leaves: usize) -> Option<usize> {
-        self.values
-            .keys()
-            .copied()
-            .filter(|&index| index >= leaves)
-            .min()
-    }
-}
-
-/// Reusable emission workspace: the per-chunk span table and the checksum
-/// input buffer.
-///
-/// One packet emission needs a span per named chunk plus a scratch buffer to
-/// concatenate fixup-covered ranges. Allocating those per packet dominates
-/// the cost of emitting small ICS frames, so the generation strategies hold
-/// one `EmitScratch` and pass it to [`emit_values_with`] for every packet.
+/// One packet emission records where every leaf starts and ends, plus a
+/// scratch buffer to concatenate fixup-covered ranges. Allocating those per
+/// packet dominates the cost of emitting small ICS frames, so the generation
+/// strategies hold one `EmitScratch` and pass it to [`emit_with`] or
+/// [`emit_values_with`] for every packet.
 #[derive(Debug, Clone, Default)]
 pub struct EmitScratch {
-    /// Emitted byte range per chunk ordinal (see [`LinearLayout::ordinal`]).
-    spans: Vec<Option<Range<usize>>>,
+    /// Leaf boundaries of the packet being emitted: leaf `i` of the model's
+    /// [`LinearLayout`] occupies bytes `bounds[i]..bounds[i + 1]`.
+    bounds: Vec<usize>,
     /// Concatenation buffer for multi-field fixup coverage.
     covered: Vec<u8>,
     /// Encoding buffer for repaired relation/fixup fields.
@@ -128,12 +104,6 @@ impl EmitScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn reset(&mut self, chunk_count: usize) {
-        self.spans.clear();
-        self.spans.resize(chunk_count, None);
-        self.covered.clear();
     }
 }
 
@@ -175,8 +145,8 @@ pub fn emit_values(
 }
 
 /// [`emit_values`] with a caller-provided [`EmitScratch`], so repeated
-/// emissions (one per generated packet) reuse the span table and checksum
-/// buffer instead of reallocating them.
+/// emissions reuse the leaf-boundary table and checksum buffer instead of
+/// reallocating them.
 ///
 /// # Errors
 ///
@@ -188,59 +158,100 @@ pub fn emit_values_with(
     repair: bool,
     scratch: &mut EmitScratch,
 ) -> Result<Vec<u8>, ModelError> {
+    let leaves = model.linear().len();
+    if let Some(index) = assignment.index_beyond(leaves) {
+        return Err(ModelError::ValueIndexOutOfRange { index, leaves });
+    }
     let mut bytes = Vec::new();
-    emit_into(model, assignment, repair, scratch, &mut bytes)?;
+    emit_with(model, repair, scratch, &mut bytes, |index, _, out| {
+        assignment
+            .get(index)
+            .map(|content| out.extend_from_slice(content))
+            .is_some()
+    });
     Ok(bytes)
 }
 
-/// Emits the model with leaf content from any [`LeafSource`], appending into
-/// a caller-provided buffer (cleared first), so a generation loop can emit
-/// every packet into one reused allocation.
+/// Emits the model in one pass over its leaves into `out` (cleared first),
+/// taking each leaf's content from `fill`, then applies File Fixup when
+/// `repair` is `true`.
 ///
-/// This is the allocation-free core of all `emit_*` entry points: together
-/// with a reused [`EmitScratch`] and a buffer-backed source, emitting a
-/// packet allocates nothing once the buffers have warmed up.
+/// For every leaf of the model's [`LinearLayout`], in packet order,
+/// `fill(index, leaf, out)` either appends the leaf's content to `out` and
+/// returns `true`, or appends nothing and returns `false` to emit the leaf's
+/// default. Content is normalised as it lands: a number is re-encoded to the
+/// field width (content is wire bytes in the field's own endianness; short
+/// content is zero-extended, long content keeps its least significant
+/// bytes), and fixed-length bytes and strings are padded with zeros or
+/// spaces, or cut, to their length.
 ///
-/// # Errors
+/// Generation uses this to write each leaf straight into the packet. With a
+/// reused `out` and [`EmitScratch`], emitting allocates nothing once the
+/// buffers have warmed up.
 ///
-/// Returns [`ModelError::ValueIndexOutOfRange`] when the source assigns
-/// content to a position beyond the linear model.
-pub fn emit_into<S: LeafSource + ?Sized>(
+/// ```
+/// use peachstar_datamodel::emit::{emit_default, emit_with, EmitScratch};
+/// use peachstar_datamodel::examples::figure1_model;
+///
+/// let model = figure1_model();
+/// let mut packet = Vec::new();
+/// emit_with(&model, true, &mut EmitScratch::new(), &mut packet, |_, _, _| false);
+/// assert_eq!(packet, emit_default(&model)?);
+/// # Ok::<(), peachstar_datamodel::ModelError>(())
+/// ```
+pub fn emit_with<F>(
     model: &DataModel,
-    source: &S,
     repair: bool,
     scratch: &mut EmitScratch,
     out: &mut Vec<u8>,
-) -> Result<(), ModelError> {
+    mut fill: F,
+) where
+    F: FnMut(usize, &LinearChunk, &mut Vec<u8>) -> bool,
+{
     let layout = model.linear();
-    let leaves = layout.len();
-    if let Some(bad) = source.invalid_index(leaves) {
-        return Err(ModelError::ValueIndexOutOfRange {
-            index: bad,
-            leaves,
-        });
-    }
-
-    scratch.reset(layout.chunk_count());
     out.clear();
-    let mut emitter = Emitter {
-        bytes: out,
-        spans: &mut scratch.spans,
-        layout,
-        visit: 0,
-    };
-    let mut leaf_index = 0usize;
-    emitter.emit_chunk(model.root(), source, &mut leaf_index);
-    if repair {
-        repair_in_place(
-            layout,
-            &scratch.spans,
-            &mut scratch.covered,
-            &mut scratch.encoded,
-            out,
-        );
+    scratch.bounds.clear();
+    scratch.bounds.push(0);
+    for (index, leaf) in layout.iter().enumerate() {
+        let start = out.len();
+        let filled = fill(index, leaf, out);
+        match &leaf.chunk.kind {
+            ChunkKind::Number(spec) => {
+                if !filled {
+                    spec.encode_into(spec.default, out);
+                } else if out.len() - start != spec.width.bytes() {
+                    // Round-tripping through the decoded value normalises
+                    // wrong-width content; content of the field's width is
+                    // already its own encoding.
+                    let value = spec.decode_lossy(&out[start..]);
+                    out.truncate(start);
+                    spec.encode_into(value, out);
+                }
+            }
+            ChunkKind::Bytes(spec) => {
+                if !filled {
+                    out.extend_from_slice(&spec.default);
+                }
+                if let LengthSpec::Fixed(len) = spec.length {
+                    out.resize(start + len, 0);
+                }
+            }
+            ChunkKind::Str(spec) => {
+                if !filled {
+                    out.extend_from_slice(spec.default.as_bytes());
+                }
+                if let LengthSpec::Fixed(len) = spec.length {
+                    out.resize(start + len, b' ');
+                }
+            }
+            // A linear layout holds leaves only.
+            ChunkKind::Block(_) | ChunkKind::Choice(_) => {}
+        }
+        scratch.bounds.push(out.len());
     }
-    Ok(())
+    if repair {
+        repair_in_place(layout, scratch, out);
+    }
 }
 
 /// Re-emits an instantiation tree, optionally repairing relations and fixups.
@@ -276,131 +287,56 @@ fn flatten_leaves<'tree>(node: &'tree InsNode, out: &mut Vec<&'tree InsNode>) {
     }
 }
 
-struct Emitter<'a> {
-    bytes: &'a mut Vec<u8>,
-    /// Emitted byte range per chunk ordinal (leaves and blocks).
-    spans: &'a mut Vec<Option<Range<usize>>>,
-    layout: &'a LinearLayout,
-    /// Index of the next chunk in the layout's precomputed visit order —
-    /// span ordinals come from an array lookup instead of hashing each
-    /// chunk's name per packet.
-    visit: usize,
-}
-
-impl Emitter<'_> {
-    fn emit_chunk<S: LeafSource + ?Sized>(
-        &mut self,
-        chunk: &Chunk,
-        source: &S,
-        leaf_index: &mut usize,
-    ) {
-        let start = self.bytes.len();
-        let ordinal = self.layout.visit_ordinals()[self.visit];
-        self.visit += 1;
-        match &chunk.kind {
-            ChunkKind::Number(spec) => {
-                let provided = source.leaf(*leaf_index);
-                *leaf_index += 1;
-                let value = match provided {
-                    // Provided content is wire bytes in the field's own
-                    // endianness — the convention shared by the cracker and
-                    // the mutators. Round-tripping through the decoded value
-                    // normalises wrong-width content to the field width and
-                    // leaves correctly-sized content untouched.
-                    Some(bytes) => spec.decode_lossy(bytes),
-                    None => spec.default,
-                };
-                spec.encode_into(value, self.bytes);
-            }
-            ChunkKind::Bytes(spec) => {
-                let provided = source.leaf(*leaf_index);
-                *leaf_index += 1;
-                // Emit straight from the borrowed content; a fixed length
-                // pads/truncates in place on the output buffer, so neither
-                // provided content nor the default is ever cloned.
-                self.bytes
-                    .extend_from_slice(provided.unwrap_or(&spec.default));
-                if let crate::types::LengthSpec::Fixed(len) = spec.length {
-                    self.bytes.resize(start + len, 0);
-                }
-            }
-            ChunkKind::Str(spec) => {
-                let provided = source.leaf(*leaf_index);
-                *leaf_index += 1;
-                self.bytes
-                    .extend_from_slice(provided.unwrap_or(spec.default.as_bytes()));
-                if let crate::types::LengthSpec::Fixed(len) = spec.length {
-                    self.bytes.resize(start + len, b' ');
-                }
-            }
-            ChunkKind::Block(children) => {
-                for child in children {
-                    self.emit_chunk(child, source, leaf_index);
-                }
-            }
-            ChunkKind::Choice(options) => {
-                if let Some(first) = options.first() {
-                    self.emit_chunk(first, source, leaf_index);
-                }
-            }
-        }
-        self.spans[ordinal] = Some(start..self.bytes.len());
-    }
-}
-
 /// Recomputes relation fields first and fixup fields second, overwriting
 /// their emitted bytes in place.
 ///
 /// Both passes walk the layout's *precompiled* repair plans (built once per
-/// model) instead of re-walking the chunk tree and re-hashing field names
-/// per packet; the per-packet work is exactly the repairs themselves.
-fn repair_in_place(
-    layout: &LinearLayout,
-    spans: &[Option<Range<usize>>],
-    covered: &mut Vec<u8>,
-    encoded: &mut Vec<u8>,
-    bytes: &mut [u8],
-) {
+/// model, against leaf positions), so the per-packet work is exactly the
+/// repairs themselves: a chunk's bytes are the span between two entries of
+/// the leaf-boundary table.
+fn repair_in_place(layout: &LinearLayout, scratch: &mut EmitScratch, bytes: &mut [u8]) {
+    let EmitScratch {
+        bounds,
+        covered,
+        encoded,
+    } = scratch;
+    let span = |(first, end): (usize, usize)| bounds[first]..bounds[end];
     // Pass 1: relations (sizes and counts).
     for repair in layout.relation_repairs() {
-        let (Some(own), Some(target)) = (spans[repair.own].as_ref(), spans[repair.target].as_ref())
-        else {
-            continue;
-        };
         let relation = repair
             .spec
             .relation
             .as_ref()
             .expect("precompiled from a relation field");
-        let value = relation.value_for_size(target.len());
+        let value = relation.value_for_size(span(repair.target).len());
         encoded.clear();
         repair
             .spec
             .encode_into(value & repair.spec.width.max_value(), encoded);
-        bytes[own.clone()].copy_from_slice(encoded);
+        bytes[span((repair.own, repair.own + 1))].copy_from_slice(encoded);
     }
     // Pass 2: fixups (checksums), computed over the repaired bytes.
     for repair in layout.fixup_repairs() {
-        let Some(own) = spans[repair.own].as_ref() else {
-            continue;
-        };
-        covered.clear();
-        for &target in &repair.over {
-            if let Some(span) = spans[target].as_ref() {
-                covered.extend_from_slice(&bytes[span.clone()]);
-            }
-        }
         let fixup = repair
             .spec
             .fixup
             .as_ref()
             .expect("precompiled from a fixup field");
-        let value = fixup.kind.compute(covered);
+        let value = match repair.over.as_slice() {
+            [range] => fixup.kind.compute(&bytes[span(*range)]),
+            ranges => {
+                covered.clear();
+                for &range in ranges {
+                    covered.extend_from_slice(&bytes[span(range)]);
+                }
+                fixup.kind.compute(covered)
+            }
+        };
         encoded.clear();
         repair
             .spec
             .encode_into(value & repair.spec.width.max_value(), encoded);
-        bytes[own.clone()].copy_from_slice(encoded);
+        bytes[span((repair.own, repair.own + 1))].copy_from_slice(encoded);
     }
 }
 
