@@ -2,8 +2,8 @@
 //! semantic-aware (Peach\*), including the `leaves_only` and `repair`
 //! ablations called out in DESIGN.md. `random_peach` instantiates the Modbus
 //! models, which have relations only; `random_opendnp3` the DNP3 models,
-//! whose CRC-16 fixups on the link header and every body block price File
-//! Fixup.
+//! whose CRC-16 fixups on the link header and the user-data block price
+//! File Fixup.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;

@@ -55,14 +55,7 @@ pub fn generate_leaf_into(chunk: &Chunk, rng: &mut SmallRng, out: &mut Vec<u8>) 
     }
 }
 
-/// Generates an encoded value for a numeric chunk.
-#[must_use]
-pub fn generate_number(spec: &NumberSpec, rng: &mut SmallRng) -> Vec<u8> {
-    let value = pick_number_value(spec, rng);
-    spec.encode(value)
-}
-
-/// [`generate_number`] appended to a caller-provided buffer.
+/// Appends an encoded value for a numeric chunk to `out`.
 pub fn generate_number_into(spec: &NumberSpec, rng: &mut SmallRng, out: &mut Vec<u8>) {
     let value = pick_number_value(spec, rng);
     spec.encode_into(value, out);
@@ -104,16 +97,7 @@ pub fn pick_number_value(spec: &NumberSpec, rng: &mut SmallRng) -> u64 {
     }
 }
 
-/// Generates content for a raw-bytes chunk.
-#[must_use]
-pub fn generate_bytes(length: &LengthSpec, default: &[u8], rng: &mut SmallRng) -> Vec<u8> {
-    let mut out = Vec::new();
-    generate_bytes_into(length, default, rng, &mut out);
-    out
-}
-
-/// [`generate_bytes`] appended to a caller-provided buffer. Same RNG stream,
-/// no allocation.
+/// Appends content for a raw-bytes chunk to `out`.
 pub fn generate_bytes_into(
     length: &LengthSpec,
     default: &[u8],
@@ -147,16 +131,7 @@ pub fn generate_bytes_into(
     }
 }
 
-/// Generates content for a string chunk.
-#[must_use]
-pub fn generate_string(length: &LengthSpec, default: &str, rng: &mut SmallRng) -> Vec<u8> {
-    let mut out = Vec::new();
-    generate_string_into(length, default, rng, &mut out);
-    out
-}
-
-/// [`generate_string`] appended to a caller-provided buffer. Same RNG
-/// stream, no allocation.
+/// Appends content for a string chunk to `out`.
 pub fn generate_string_into(
     length: &LengthSpec,
     default: &str,
@@ -206,9 +181,9 @@ mod tests {
     #[test]
     fn number_generation_respects_width() {
         let mut rng = rng();
-        let spec = NumberSpec::u16_be();
+        let chunk = Chunk::number("n", NumberSpec::u16_be());
         for _ in 0..200 {
-            let bytes = generate_number(&spec, &mut rng);
+            let bytes = generate_leaf(&chunk, &mut rng);
             assert_eq!(bytes.len(), 2);
         }
     }
@@ -232,18 +207,18 @@ mod tests {
     #[test]
     fn fixed_bytes_have_exact_length() {
         let mut rng = rng();
-        let spec = BytesSpec::fixed(7);
+        let chunk = Chunk::bytes("b", BytesSpec::fixed(7));
         for _ in 0..100 {
-            assert_eq!(generate_bytes(&spec.length, &spec.default, &mut rng).len(), 7);
+            assert_eq!(generate_leaf(&chunk, &mut rng).len(), 7);
         }
     }
 
     #[test]
     fn variable_bytes_vary_in_length() {
         let mut rng = rng();
-        let spec = BytesSpec::remainder().default_content(vec![1, 2, 3]);
+        let chunk = Chunk::bytes("b", BytesSpec::remainder().default_content(vec![1, 2, 3]));
         let lengths: std::collections::HashSet<usize> = (0..200)
-            .map(|_| generate_bytes(&spec.length, &spec.default, &mut rng).len())
+            .map(|_| generate_leaf(&chunk, &mut rng).len())
             .collect();
         assert!(lengths.len() > 3, "lengths should vary: {lengths:?}");
     }
@@ -251,12 +226,9 @@ mod tests {
     #[test]
     fn fixed_strings_have_exact_length() {
         let mut rng = rng();
-        let spec = StrSpec::fixed(11).default_content("GGIO1$AnIn1");
+        let chunk = Chunk::str("s", StrSpec::fixed(11).default_content("GGIO1$AnIn1"));
         for _ in 0..100 {
-            assert_eq!(
-                generate_string(&spec.length, &spec.default, &mut rng).len(),
-                11
-            );
+            assert_eq!(generate_leaf(&chunk, &mut rng).len(), 11);
         }
     }
 
@@ -307,11 +279,11 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_per_seed() {
-        let spec = NumberSpec::u32_be().default_value(9);
+        let chunk = Chunk::number("n", NumberSpec::u32_be().default_value(9));
         let run = |seed: u64| {
             let mut rng = SmallRng::seed_from_u64(seed);
             (0..50)
-                .map(|_| generate_number(&spec, &mut rng))
+                .map(|_| generate_leaf(&chunk, &mut rng))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));

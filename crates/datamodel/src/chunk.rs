@@ -176,12 +176,17 @@ impl NumberSpec {
     /// the per-leaf emission path uses this so that emitting a packet never
     /// allocates one small vector per number field.
     pub fn encode_into(&self, value: u64, out: &mut Vec<u8>) {
-        let bytes = value.to_be_bytes();
-        let width = self.width.bytes();
-        let slice = &bytes[8 - width..];
-        match self.endian {
-            Endianness::Big => out.extend_from_slice(slice),
-            Endianness::Little => out.extend(slice.iter().rev().copied()),
+        // The field's bytes lead `wire` in either byte order, so every width
+        // is one fixed-size copy.
+        let wire = match self.endian {
+            Endianness::Big => (value << (64 - 8 * self.width.bytes())).to_be_bytes(),
+            Endianness::Little => value.to_le_bytes(),
+        };
+        match self.width {
+            NumberWidth::U8 => out.extend_from_slice(&wire[..1]),
+            NumberWidth::U16 => out.extend_from_slice(&wire[..2]),
+            NumberWidth::U32 => out.extend_from_slice(&wire[..4]),
+            NumberWidth::U64 => out.extend_from_slice(&wire),
         }
     }
 
@@ -190,19 +195,7 @@ impl NumberSpec {
     /// Returns `None` when `bytes` has the wrong length.
     #[must_use]
     pub fn decode(&self, bytes: &[u8]) -> Option<u64> {
-        if bytes.len() != self.width.bytes() {
-            return None;
-        }
-        let mut buf = [0u8; 8];
-        match self.endian {
-            Endianness::Big => buf[8 - bytes.len()..].copy_from_slice(bytes),
-            Endianness::Little => {
-                for (i, &byte) in bytes.iter().enumerate() {
-                    buf[7 - i] = byte;
-                }
-            }
-        }
-        Some(u64::from_be_bytes(buf))
+        (bytes.len() == self.width.bytes()).then(|| self.decode_lossy(bytes))
     }
 
     /// Decodes wire bytes of *any* length in this spec's endianness, keeping
@@ -215,22 +208,13 @@ impl NumberSpec {
     #[must_use]
     pub fn decode_lossy(&self, bytes: &[u8]) -> u64 {
         let take = bytes.len().min(8);
-        let mut value = 0u64;
+        let accumulate = |value: u64, &byte: &u8| (value << 8) | u64::from(byte);
         match self.endian {
             // Least significant wire bytes are the trailing ones.
-            Endianness::Big => {
-                for &byte in &bytes[bytes.len() - take..] {
-                    value = (value << 8) | u64::from(byte);
-                }
-            }
+            Endianness::Big => bytes[bytes.len() - take..].iter().fold(0, accumulate),
             // Least significant wire bytes are the leading ones.
-            Endianness::Little => {
-                for (index, &byte) in bytes[..take].iter().enumerate() {
-                    value |= u64::from(byte) << (8 * index);
-                }
-            }
+            Endianness::Little => bytes[..take].iter().rev().fold(0, accumulate),
         }
-        value
     }
 
     /// Whether `value` is legal for this field.
@@ -580,6 +564,35 @@ impl fmt::Display for Chunk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn number_kernels_match_the_bytewise_oracles(
+            width in any::<u8>(),
+            little in any::<bool>(),
+            value in any::<u64>(),
+            wire in proptest::collection::vec(any::<u8>(), 0..12),
+        ) {
+            let widths = [NumberWidth::U8, NumberWidth::U16, NumberWidth::U32, NumberWidth::U64];
+            let width = widths[usize::from(width % 4)];
+            let endian = if little { Endianness::Little } else { Endianness::Big };
+            let spec = NumberSpec { width, endian, ..NumberSpec::u8() };
+            // Oracles: a little-endian field is the reversed big-endian one.
+            let mut encoded = value.to_be_bytes()[8 - width.bytes()..].to_vec();
+            let take = wire.len().min(8);
+            let mut decoded = [0u8; 8];
+            if little {
+                encoded.reverse();
+                decoded[8 - take..].copy_from_slice(&wire[..take]);
+                decoded[8 - take..].reverse();
+            } else {
+                decoded[8 - take..].copy_from_slice(&wire[wire.len() - take..]);
+            }
+            prop_assert_eq!(spec.encode(value), encoded);
+            prop_assert_eq!(spec.decode_lossy(&wire), u64::from_be_bytes(decoded));
+        }
+    }
 
     #[test]
     fn number_encode_decode_roundtrip() {

@@ -80,8 +80,8 @@ impl FromIterator<(usize, Vec<u8>)> for ValueAssignment {
     }
 }
 
-/// Reusable emission workspace: the leaf-boundary table and the checksum
-/// buffers.
+/// Reusable emission workspace: the leaf-boundary table, the checksum
+/// buffers and the longest packet length seen.
 ///
 /// One packet emission records where every leaf starts and ends, plus a
 /// scratch buffer to concatenate fixup-covered ranges. Allocating those per
@@ -93,10 +93,13 @@ pub struct EmitScratch {
     /// Leaf boundaries of the packet being emitted: leaf `i` of the model's
     /// [`LinearLayout`] occupies bytes `bounds[i]..bounds[i + 1]`.
     bounds: Vec<usize>,
-    /// Concatenation buffer for multi-field fixup coverage.
+    /// Concatenation of the leaf ranges a fixup covers.
     covered: Vec<u8>,
     /// Encoding buffer for repaired relation/fixup fields.
     encoded: Vec<u8>,
+    /// Length of the longest packet emitted so far: a fresh output buffer
+    /// reserves this much up front instead of regrowing leaf by leaf.
+    longest: usize,
 }
 
 impl EmitScratch {
@@ -210,6 +213,7 @@ pub fn emit_with<F>(
 {
     let layout = model.linear();
     out.clear();
+    out.reserve(scratch.longest);
     scratch.bounds.clear();
     scratch.bounds.push(0);
     for (index, leaf) in layout.iter().enumerate() {
@@ -217,16 +221,14 @@ pub fn emit_with<F>(
         let filled = fill(index, leaf, out);
         match &leaf.chunk.kind {
             ChunkKind::Number(spec) => {
-                if !filled {
-                    spec.encode_into(spec.default, out);
-                } else if out.len() - start != spec.width.bytes() {
-                    // Round-tripping through the decoded value normalises
-                    // wrong-width content; content of the field's width is
-                    // already its own encoding.
+                let value = if filled {
                     let value = spec.decode_lossy(&out[start..]);
                     out.truncate(start);
-                    spec.encode_into(value, out);
-                }
+                    value
+                } else {
+                    spec.default
+                };
+                spec.encode_into(value, out);
             }
             ChunkKind::Bytes(spec) => {
                 if !filled {
@@ -249,6 +251,7 @@ pub fn emit_with<F>(
         }
         scratch.bounds.push(out.len());
     }
+    scratch.longest = scratch.longest.max(out.len());
     if repair {
         repair_in_place(layout, scratch, out);
     }
@@ -299,6 +302,7 @@ fn repair_in_place(layout: &LinearLayout, scratch: &mut EmitScratch, bytes: &mut
         bounds,
         covered,
         encoded,
+        ..
     } = scratch;
     let span = |(first, end): (usize, usize)| bounds[first]..bounds[end];
     // Pass 1: relations (sizes and counts).
@@ -322,16 +326,11 @@ fn repair_in_place(layout: &LinearLayout, scratch: &mut EmitScratch, bytes: &mut
             .fixup
             .as_ref()
             .expect("precompiled from a fixup field");
-        let value = match repair.over.as_slice() {
-            [range] => fixup.kind.compute(&bytes[span(*range)]),
-            ranges => {
-                covered.clear();
-                for &range in ranges {
-                    covered.extend_from_slice(&bytes[span(range)]);
-                }
-                fixup.kind.compute(covered)
-            }
-        };
+        covered.clear();
+        for &range in &repair.over {
+            covered.extend_from_slice(&bytes[span(range)]);
+        }
+        let value = fixup.kind.compute(covered);
         encoded.clear();
         repair
             .spec
