@@ -86,10 +86,11 @@ fn bench_campaign_sharded(c: &mut Criterion) {
 /// Batched end-to-end throughput: the same campaigns as [`bench_campaign`]
 /// — identical config, identical reports for Peach — driven through the
 /// batched window body with 250-packet slices. The delta against the
-/// unsuffixed entries is the pure dispatch amortisation: pooled packet
-/// arena instead of a fresh seed per execution, one (devirtualised)
-/// target call per window instead of per packet, and no per-execution
-/// reset-policy checks.
+/// unsuffixed entries is the batched path's saving: pooled packet arena
+/// instead of a fresh seed per execution, one target call per window
+/// instead of per packet, no per-execution reset-policy checks, and
+/// decoders running under the summary sink (no response assembly or
+/// error-string formatting).
 fn bench_campaign_batched(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign");
     group.sample_size(30);
@@ -109,40 +110,6 @@ fn bench_campaign_batched(c: &mut Criterion) {
                         .rng_seed(7)
                         .sample_interval(500)
                         .batch(250);
-                    let report = Campaign::new(target.create(), config).run();
-                    report.final_paths()
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
-/// Summary-only batched throughput: the same batched campaigns as
-/// [`bench_campaign_batched`] with `summary_only()` armed, so the decoders
-/// skip response assembly and error-string formatting. Reports are pinned
-/// bit-identical to the full-decode runs (tests/batch_equivalence.rs); the
-/// delta against the `_batched_` entries is pure decode-output cost.
-fn bench_campaign_summary(c: &mut Criterion) {
-    let mut group = c.benchmark_group("campaign");
-    group.sample_size(30);
-    for (target, label) in [(TargetId::Modbus, "modbus"), (TargetId::Iec104, "iec104")] {
-        for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
-            let name = format!(
-                "{label}_{}_summary_2k_execs",
-                match strategy {
-                    StrategyKind::Peach => "peach",
-                    StrategyKind::PeachStar => "peachstar",
-                }
-            );
-            group.bench_function(name, |b| {
-                b.iter(|| {
-                    let config = CampaignConfig::new(strategy)
-                        .executions(EXECUTIONS)
-                        .rng_seed(7)
-                        .sample_interval(500)
-                        .batch(250)
-                        .summary_only();
                     let report = Campaign::new(target.create(), config).run();
                     report.final_paths()
                 });
@@ -318,7 +285,6 @@ criterion_group!(
     benches,
     bench_campaign,
     bench_campaign_batched,
-    bench_campaign_summary,
     bench_campaign_sharded,
     bench_campaign_sessions,
     bench_campaign_checkpointed,

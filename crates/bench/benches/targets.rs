@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use peachstar_coverage::TraceContext;
 use peachstar_datamodel::emit::emit_default;
-use peachstar_protocols::{DecodeSink, TargetId, WindowResults};
+use peachstar_protocols::{TargetId, WindowResults};
 
 /// Per-packet decode: every default packet of the target through
 /// `process`, on one trace context reset between packets the way the
@@ -40,10 +40,8 @@ fn bench_targets(c: &mut Criterion) {
 
 /// Whole-window dispatch: the same default packets cycled into a 64-packet
 /// window and handed to `process_batch` — the exact call shape of the
-/// batched campaign fast path, including each protocol's prescan override.
-/// The `_summary` variants arm [`DecodeSink::Summary`], so their delta
-/// against the plain entries is the pure cost of response assembly and
-/// error-string formatting that summary-only campaigns skip.
+/// batched campaign fast path, which decodes under the summary sink (no
+/// response assembly or error-string formatting).
 fn bench_process_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("targets");
     group.sample_size(30);
@@ -58,19 +56,14 @@ fn bench_process_batch(c: &mut Criterion) {
             .map(|model| emit_default(model).expect("default packet emits"))
             .collect();
         let refs: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
-        for (suffix, sink) in [("", DecodeSink::Full), ("_summary", DecodeSink::Summary)] {
-            group.bench_function(
-                format!("process_batch_{}{suffix}", target_id.project_name()),
-                |b| {
-                    let mut ctx = TraceContext::new();
-                    let mut results = WindowResults::new();
-                    b.iter(|| {
-                        target.process_batch(&refs, &mut ctx, &mut results, sink);
-                        results.drain().count()
-                    });
-                },
-            );
-        }
+        group.bench_function(format!("process_batch_{}", target_id.project_name()), |b| {
+            let mut ctx = TraceContext::new();
+            let mut results = WindowResults::new();
+            b.iter(|| {
+                target.process_batch(&refs, &mut ctx, &mut results);
+                results.drain().count()
+            });
+        });
     }
     group.finish();
 }

@@ -105,11 +105,6 @@ pub struct CliOptions {
     /// `--shards` (caps the per-worker dispatch chunk) and `--sessions`
     /// (windows are whole sessions).
     pub batch: Option<u64>,
-    /// Summary-only decoding on the batched fast path: decoders keep
-    /// identical control flow and traces but skip response assembly and
-    /// error-string formatting, which campaign reports never read. Requires
-    /// `--batch`; reports are bit-identical to full decodes.
-    pub summary_only: bool,
     /// Run stateful session campaigns (handshake → mutated payload →
     /// teardown, with session-scoped resets) instead of the single-packet
     /// stream. Requires session-capable targets.
@@ -203,7 +198,6 @@ impl Default for CliOptions {
             no_baseline: false,
             shards: 1,
             batch: None,
-            summary_only: false,
             sessions: false,
             session_payload: SessionConfig::DEFAULT_PAYLOAD_PACKETS,
             mutate: PhaseMask::default(),
@@ -289,12 +283,6 @@ OPTIONS:
                              batch ends (deterministic, barrier-fed like
                              --shards). With --shards, caps the per-worker
                              dispatch chunk instead (never changes results).
-    --summary-only           Skip response assembly and error-string
-                             formatting inside the decoders on the batched
-                             fast path (the campaign loop never reads them);
-                             control flow, traces and reports stay
-                             bit-identical to full decodes, verified
-                             continuously in debug builds. Requires --batch.
     --sessions               Stateful session fuzzing: every session replays
                              the target's handshake (e.g. STARTDT act), runs
                              mutated payload packets against the opened
@@ -566,7 +554,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 }
                 options.batch = Some(batch);
             }
-            "--summary-only" => options.summary_only = true,
             "--sessions" => options.sessions = true,
             "--session-payload" => {
                 let payload =
@@ -814,13 +801,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             );
         }
     }
-    if options.summary_only && options.batch.is_none() {
-        return Err(
-            "--summary-only skips decode output on the batched fast path; enable it with \
-             --batch <N>"
-                .into(),
-        );
-    }
     if options.reconnect_retries.is_some() && options.transport != TransportMode::FramedTcp {
         return Err(
             "--reconnect-retries tunes the framed-TCP reconnect budget; enable the wire \
@@ -1030,9 +1010,6 @@ fn build_config(
     }
     if let Some(batch) = options.batch {
         config = config.batch(batch);
-    }
-    if options.summary_only {
-        config = config.summary_only();
     }
     if let Some(millis) = options.exec_timeout_ms {
         config = config.exec_timeout_ms(millis);
@@ -1461,7 +1438,7 @@ pub fn render_report(outcome: &RunOutcome) -> String {
     let options = &outcome.options;
     let mut out = String::new();
     out.push_str(&format!(
-        "peachstar campaign run: {} executions x {} repetition(s), base seed {}{}{}{}{}{}\n",
+        "peachstar campaign run: {} executions x {} repetition(s), base seed {}{}{}{}{}\n",
         options.executions,
         options.repetitions,
         options.seed,
@@ -1480,11 +1457,6 @@ pub fn render_report(outcome: &RunOutcome) -> String {
             format!(", batched windows of {batch}")
         } else {
             String::new()
-        },
-        if options.summary_only {
-            ", summary-only decode"
-        } else {
-            ""
         },
         if options.sessions {
             format!(
@@ -1724,9 +1696,6 @@ pub fn render_json(outcome: &RunOutcome) -> String {
     }
     if let Some(batch) = options.batch {
         out.push_str(&format!("  \"batch\": {batch},\n"));
-    }
-    if options.summary_only {
-        out.push_str("  \"summary_only\": true,\n");
     }
     if let Some(millis) = options.exec_timeout_ms {
         out.push_str(&format!("  \"exec_timeout_ms\": {millis},\n"));
@@ -2075,94 +2044,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_summary_only_and_requires_batch() {
-        let Command::Run(options) =
-            parse_args(&args(&["--batch", "250", "--summary-only"])).unwrap()
-        else {
-            panic!("expected a run command");
-        };
-        assert!(options.summary_only);
-        let Command::Run(options) = parse_args(&[]).unwrap() else {
-            panic!("expected a run command");
-        };
-        assert!(!options.summary_only);
-        // Without --batch the per-execution loop would still hand full
-        // outcomes to external consumers; the error points at the fix.
-        let error = parse_args(&args(&["--summary-only"])).unwrap_err();
-        assert!(error.contains("--batch"), "points at --batch: {error}");
-        // Composes with --shards (the per-worker fast path).
-        let Command::Run(options) = parse_args(&args(&[
-            "--batch", "64", "--summary-only", "--shards", "2",
-        ]))
-        .unwrap() else {
-            panic!("expected a run command");
-        };
-        assert!(options.summary_only);
-        assert_eq!(options.shards, 2);
-    }
-
-    #[test]
-    fn summary_only_surfaces_in_report_and_json() {
-        let options = CliOptions {
-            targets: vec![TargetId::Modbus],
-            strategy: StrategyChoice::Peach,
-            executions: 600,
-            jobs: 1,
-            batch: Some(200),
-            summary_only: true,
-            ..CliOptions::default()
-        };
-        let outcome = run(&options).expect("run");
-        assert!(render_report(&outcome).contains("summary-only decode"));
-        assert!(render_json(&outcome).contains("\"summary_only\": true"));
-        // Absent when off.
-        let outcome = run(&CliOptions {
-            summary_only: false,
-            ..options
-        })
-        .expect("run");
-        assert!(!render_json(&outcome).contains("\"summary_only\""));
-    }
-
-    #[test]
-    fn summary_only_run_matches_the_full_decode_run() {
-        // The whole point of the sink seam: outcome variants, traces and
-        // therefore reports are bit-identical with decode output skipped.
-        for strategy in [StrategyChoice::Peach, StrategyChoice::PeachStar] {
-            let options = CliOptions {
-                targets: vec![TargetId::Modbus, TargetId::Iec104],
-                strategy,
-                executions: 1_000,
-                jobs: 1,
-                no_baseline: true,
-                batch: Some(128),
-                ..CliOptions::default()
-            };
-            let full = run(&options).expect("run");
-            let summary = run(&CliOptions {
-                summary_only: true,
-                ..options.clone()
-            })
-            .expect("run");
-            for (target, kind) in full
-                .campaigns
-                .iter()
-                .map(|campaign| (campaign.target, campaign.strategy))
-                .collect::<Vec<_>>()
-            {
-                let a = full.find(target, kind).unwrap();
-                let b = summary.find(target, kind).unwrap();
-                assert_eq!(a.final_paths(), b.final_paths());
-                assert_eq!(a.reports[0].series.points(), b.reports[0].series.points());
-                assert_eq!(a.reports[0].responses, b.reports[0].responses);
-                assert_eq!(a.reports[0].protocol_errors, b.reports[0].protocol_errors);
-                assert_eq!(a.reports[0].fault_hits, b.reports[0].fault_hits);
-                assert_eq!(a.unique_bugs(options.seed), b.unique_bugs(options.seed));
-            }
-        }
-    }
-
-    #[test]
     fn shard_warning_fires_only_when_oversubscribed() {
         assert!(shard_parallelism_warning(4, 1, 1).is_some());
         let text = shard_parallelism_warning(8, 1, 2).unwrap();
@@ -2242,7 +2123,7 @@ mod tests {
         assert!(parse_args(&args(&["--connections"])).is_err());
         assert!(parse_args(&args(&["--connections", "many"])).is_err());
         // Connections without a wire are meaningless; the error points at
-        // the fix, like --summary-only's does at --batch.
+        // the fix.
         let error = parse_args(&args(&["--connections", "4"])).unwrap_err();
         assert!(error.contains("--transport tcp"), "points at the wire: {error}");
         // The connection driver *is* the sharded engine; both at once would

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use peachstar_protocols::{DecodeSink, Fault, Target, WindowResults, WireChaos};
+use peachstar_protocols::{Fault, Target, WindowResults, WireChaos};
 
 use crate::corpus::PuzzleCorpus;
 use crate::engine::batch::{windows_for_policy, PacketArena};
@@ -139,18 +139,6 @@ pub struct CampaignConfig {
     /// which nothing hangs is bit-identical to an unsupervised one, and the
     /// field is deliberately excluded from the snapshot fingerprint.
     pub exec_timeout: Option<u64>,
-    /// Decode in summary-only mode on the batched fast path
-    /// ([`DecodeSink::Summary`](peachstar_protocols::DecodeSink)): decoders
-    /// keep identical control flow, state and traces but skip response
-    /// assembly and error-string formatting, which the campaign loop never
-    /// reads. Requires [`batch`](CampaignConfig::batch) (the per-execution
-    /// loop has external consumers of the full outcomes).
-    ///
-    /// Like [`exec_timeout`](CampaignConfig::exec_timeout) this is an
-    /// operational knob, not campaign semantics — reports are bit-identical
-    /// either way — so it is deliberately excluded from the snapshot
-    /// fingerprint.
-    pub summary_only: bool,
     /// How packets reach the target (`--transport`): direct in-process
     /// calls (the default) or length-framed request/response over a
     /// loopback TCP socket against a spawned socket server
@@ -205,7 +193,6 @@ impl CampaignConfig {
             session: None,
             batch: None,
             exec_timeout: None,
-            summary_only: false,
             transport: TransportMode::InProcess,
             reconnect: ReconnectPolicy::DEFAULT,
             wire_chaos: WireChaos::default(),
@@ -261,14 +248,6 @@ impl CampaignConfig {
     #[must_use]
     pub fn exec_timeout_ms(mut self, millis: u64) -> Self {
         self.exec_timeout = Some(millis.max(1));
-        self
-    }
-
-    /// Enables summary-only decoding on the batched fast path (see
-    /// [`summary_only`](CampaignConfig::summary_only)).
-    #[must_use]
-    pub fn summary_only(mut self) -> Self {
-        self.summary_only = true;
         self
     }
 
@@ -631,9 +610,6 @@ fn launch<S: Schedule>(
             let mut executor = TargetExecutor::with_policy(target, policy);
             if let Some(millis) = config.exec_timeout {
                 executor = executor.with_deadline(Duration::from_millis(millis));
-            }
-            if config.summary_only {
-                executor = executor.with_sink(DecodeSink::Summary);
             }
             let models = executor.data_models();
             let mut arena = PacketArena::default();

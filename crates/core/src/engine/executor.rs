@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use peachstar_coverage::{TraceContext, TraceMap};
 use peachstar_datamodel::DataModelSet;
-use peachstar_protocols::{DecodeSink, Outcome, Target, WindowResults};
+use peachstar_protocols::{Outcome, Target, WindowResults};
 
 use super::supervisor::{contained, panic_fault, Watchdog};
 
@@ -158,13 +158,6 @@ pub struct TargetExecutor {
     /// the sparse reply traces.
     watchdog: Option<Watchdog>,
     scratch: TraceMap,
-    /// Decode sink armed around whole-window executions. [`DecodeSink::Full`]
-    /// (the default) builds every response and error string;
-    /// [`DecodeSink::Summary`] keeps control flow and traces identical but
-    /// skips the payload formatting the batched campaign loop never reads.
-    /// Per-packet fallback paths (watchdog, interior resets, post-panic
-    /// completion) always run full decodes.
-    sink: DecodeSink,
 }
 
 impl TargetExecutor {
@@ -188,7 +181,6 @@ impl TargetExecutor {
             policy,
             watchdog: None,
             scratch: TraceMap::new(),
-            sink: DecodeSink::Full,
         }
     }
 
@@ -201,26 +193,6 @@ impl TargetExecutor {
     pub fn with_deadline(mut self, timeout: Duration) -> Self {
         self.watchdog = Some(Watchdog::new(self.spare.clone_fresh(), timeout));
         self
-    }
-
-    /// Selects the decode sink armed around whole-window executions.
-    ///
-    /// [`DecodeSink::Summary`] skips response assembly and error-string
-    /// formatting inside the decoders while leaving every branch, state
-    /// mutation and recorded trace identical — outcome *variants* (and
-    /// therefore campaign reports) are bit-for-bit the same as under
-    /// [`DecodeSink::Full`]. Debug builds cross-check that claim on the
-    /// first packet of every batched window.
-    #[must_use]
-    pub fn with_sink(mut self, sink: DecodeSink) -> Self {
-        self.sink = sink;
-        self
-    }
-
-    /// The decode sink armed around whole-window executions.
-    #[must_use]
-    pub fn sink(&self) -> DecodeSink {
-        self.sink
     }
 
     /// The enforced per-execution deadline, when the watchdog is armed.
@@ -318,25 +290,12 @@ impl Executor for TargetExecutor {
         }
         // The whole window runs inside one target call: the per-execution
         // policy check collapses to a single window-start check, and the
-        // target's `process_batch` (overridable per protocol) owns the
-        // packet loop — one virtual dispatch per window instead of one per
-        // packet.
+        // target's `process_batch` owns the packet loop — one virtual
+        // dispatch per window instead of one per packet.
         if self.policy.resets_before(first_execution) {
             self.target.reset();
         }
-        // In summary mode, debug builds re-prove the full/summary
-        // bit-identity claim on the first packet of every window, against a
-        // fresh clone (so the stateful run below is untouched).
-        #[cfg(debug_assertions)]
-        if self.sink == DecodeSink::Summary {
-            if let Some(packet) = packets.first() {
-                peachstar_protocols::sink::debug_cross_check_sinks(self.target.as_ref(), packet);
-            }
-        }
-        let sink = self.sink;
-        if let Err(message) =
-            contained(|| self.target.process_batch(packets, &mut self.ctx, out, sink))
-        {
+        if let Err(message) = contained(|| self.target.process_batch(packets, &mut self.ctx, out)) {
             // The batch panicked while processing packet `out.len()` (every
             // `process_batch` implementation records incrementally): record
             // the synthetic fault with the partial trace of the panicking

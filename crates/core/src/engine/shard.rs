@@ -71,7 +71,7 @@ use rand::rngs::SmallRng;
 
 use peachstar_coverage::{SparseTrace, TraceContext};
 use peachstar_datamodel::DataModelSet;
-use peachstar_protocols::{DecodeSink, Target, WindowResults};
+use peachstar_protocols::{Target, WindowResults};
 
 use crate::campaign::CampaignConfig;
 use crate::engine::supervisor::{contained, Watchdog};
@@ -166,7 +166,6 @@ fn execute_window_fast(
     target: &mut Box<dyn Target + Send>,
     spare: &dyn Target,
     chunk: usize,
-    sink: DecodeSink,
     work: WindowWork,
     ctx: &mut TraceContext,
     results: &mut WindowResults,
@@ -184,25 +183,15 @@ fn execute_window_fast(
         panic!("{message}");
     }
     let start = work.start;
-    // In summary mode, debug builds re-prove the full/summary bit-identity
-    // claim on the first packet of every window, against fresh clones (the
-    // stateful worker target below is untouched).
-    #[cfg(debug_assertions)]
-    if sink == DecodeSink::Summary {
-        if let Some(packet) = work.packets.first() {
-            peachstar_protocols::sink::debug_cross_check_sinks(target.as_ref(), &packet.bytes);
-        }
-    }
     let mut remaining = work.packets;
     let mut records: Vec<ExecRecord> = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         let mut rest = remaining.split_off(remaining.len().min(chunk.max(1)));
         // One virtual dispatch per chunk instead of one per packet — the
-        // same amortisation (and the same protocol overrides) the batched
-        // sequential engine gets.
+        // same amortisation the batched sequential engine gets.
         let attempt = contained(|| {
             let refs: Vec<&[u8]> = remaining.iter().map(|p| p.bytes.as_slice()).collect();
-            target.process_batch(&refs, ctx, results, sink);
+            target.process_batch(&refs, ctx, results);
         });
         if let Err(message) = attempt {
             // Reassemble the intact packet list: both the failed and the
@@ -280,7 +269,6 @@ fn execute_window_supervised(watchdog: &mut Watchdog, work: WindowWork) -> Windo
 fn shard_worker(
     worker: &mut ShardWorker,
     chunk: usize,
-    sink: DecodeSink,
     queue: &Mutex<VecDeque<WindowWork>>,
     done: &Mutex<Vec<WindowResult>>,
 ) {
@@ -302,7 +290,7 @@ fn shard_worker(
             // death — degradation is a fast-path concern.
             Some(watchdog) => WindowOutcome::Done(execute_window_supervised(watchdog, work)),
             None => {
-                execute_window_fast(target, spare.as_ref(), chunk, sink, work, &mut ctx, &mut results)
+                execute_window_fast(target, spare.as_ref(), chunk, work, &mut ctx, &mut results)
             }
         };
         match outcome {
@@ -366,15 +354,12 @@ pub(crate) struct ShardPool {
     /// into one call. Never affects the report — only how often the worker
     /// crosses the target seam.
     chunk: usize,
-    /// Summary-only decoding on every worker's fast path; the supervised and
-    /// recovery paths always decode in full.
-    sink: DecodeSink,
     exec_timeout: Option<Duration>,
 }
 
 impl ShardPool {
     /// `workers` lanes (at least one) running fresh clones of `target`
-    /// under `config`'s batch, decode-sink and deadline settings.
+    /// under `config`'s batch and deadline settings.
     pub(crate) fn new(target: Box<dyn Target>, workers: usize, config: &CampaignConfig) -> Self {
         let exec_timeout = config.exec_timeout.map(Duration::from_millis);
         let workers = (0..workers.max(1))
@@ -391,11 +376,6 @@ impl ShardPool {
             chunk: config.batch.map_or(usize::MAX, |batch| {
                 usize::try_from(batch.max(1)).unwrap_or(usize::MAX)
             }),
-            sink: if config.summary_only {
-                DecodeSink::Summary
-            } else {
-                DecodeSink::Full
-            },
             exec_timeout,
         }
     }
@@ -439,14 +419,14 @@ where
         // within the first scope already). The campaign fails only when no
         // live connection remains and windows are still queued.
         let pool = &mut self.executor;
-        let (chunk, sink) = (pool.chunk, pool.sink);
+        let chunk = pool.chunk;
         let queue = Mutex::new(work);
         let done: Mutex<Vec<WindowResult>> = Mutex::new(Vec::with_capacity(round.len()));
         let (queue_ref, done_ref) = (&queue, &done);
         loop {
             std::thread::scope(|scope| {
                 for worker in pool.workers.iter_mut().filter(|worker| !worker.dead) {
-                    scope.spawn(move || shard_worker(worker, chunk, sink, queue_ref, done_ref));
+                    scope.spawn(move || shard_worker(worker, chunk, queue_ref, done_ref));
                 }
             });
             if queue.lock().expect("window queue poisoned").is_empty() {

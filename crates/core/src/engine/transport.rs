@@ -61,7 +61,7 @@ use peachstar_protocols::server::{serve_with_chaos, ServerHandle, WireChaos};
 use peachstar_protocols::wire::{
     request_runs, MessageStream, Request, Response, WireError, WireFraming,
 };
-use peachstar_protocols::{DecodeSink, Outcome, Target, WindowResults};
+use peachstar_protocols::{Outcome, Target, WindowResults};
 
 /// Which transport carries packets from the executor to the target.
 ///
@@ -338,7 +338,7 @@ impl FramedTcpTarget {
             return Err(error_class(error.kind()));
         }
         let mut response = self.try_recv()?;
-        if let (Request::Batch { packets, .. }, Response::Batch(records)) = (request, &mut response) {
+        if let (Request::Batch(packets), Response::Batch(records)) = (request, &mut response) {
             while records.len() < packets.len() {
                 match self.try_recv()? {
                     Response::Batch(more) => records.extend(more),
@@ -366,9 +366,8 @@ impl FramedTcpTarget {
 
     /// Opens a replacement connection and replays the journal so the fresh
     /// server-side target re-derives the lost connection's state. The
-    /// replayed window uses the summary sink — decode output is discarded,
-    /// only the state transitions matter, and the summary path is pinned
-    /// bit-identical to the full one.
+    /// replay goes out as batch requests, whose records are discarded: only
+    /// the state transitions matter.
     fn reopen_and_replay(&mut self) -> Result<(), &'static str> {
         let stream = TcpStream::connect(self.addr).map_err(|e| error_class(e.kind()))?;
         stream.set_nodelay(true).map_err(|e| error_class(e.kind()))?;
@@ -381,10 +380,7 @@ impl FramedTcpTarget {
         // in order, one run per message.
         let journal = std::mem::take(&mut self.journal);
         let replayed = request_runs(&journal).try_for_each(|run| {
-            let replay = Request::Batch {
-                sink: DecodeSink::Summary,
-                packets: run.to_vec(),
-            };
+            let replay = Request::Batch(run.to_vec());
             match self.try_exchange(&replay)? {
                 Response::Batch(_) => Ok(()),
                 other => panic!("framed-tcp transport: unexpected reply {other:?}"),
@@ -433,7 +429,7 @@ impl FramedTcpTarget {
     fn journal_success(&mut self, request: &Request) {
         match request {
             Request::Process(packet) => self.journal.push(packet.clone()),
-            Request::Batch { packets, .. } => self.journal.extend(packets.iter().cloned()),
+            Request::Batch(packets) => self.journal.extend(packets.iter().cloned()),
             Request::Reset => self.journal.clear(),
         }
     }
@@ -491,16 +487,12 @@ impl Target for FramedTcpTarget {
         packets: &[&[u8]],
         ctx: &mut TraceContext,
         out: &mut WindowResults,
-        sink: DecodeSink,
     ) {
         out.begin();
         // A window larger than one message goes out as consecutive batches;
         // the server runs them in order, so the records are the same.
         for run in request_runs(packets) {
-            let request = Request::Batch {
-                sink,
-                packets: run.iter().map(|p| p.to_vec()).collect(),
-            };
+            let request = Request::Batch(run.iter().map(|p| p.to_vec()).collect());
             match self.exchange(&request) {
                 Response::Batch(records) => {
                     assert_eq!(
@@ -577,8 +569,8 @@ mod tests {
         let mut ref_ctx = TraceContext::new();
         let mut over_wire = WindowResults::new();
         let mut direct = WindowResults::new();
-        tcp.process_batch(&window, &mut tcp_ctx, &mut over_wire, DecodeSink::Full);
-        reference.process_batch(&window, &mut ref_ctx, &mut direct, DecodeSink::Full);
+        tcp.process_batch(&window, &mut tcp_ctx, &mut over_wire);
+        reference.process_batch(&window, &mut ref_ctx, &mut direct);
         assert_eq!(over_wire.len(), direct.len());
         let collect = |results: &WindowResults| -> Vec<(OutcomeSummary, peachstar_coverage::SparseTrace)> {
             results.iter().map(|(s, t)| (*s, t.clone())).collect()
@@ -751,8 +743,8 @@ mod tests {
         let mut ref_ctx = TraceContext::new();
         let mut over_wire = WindowResults::new();
         let mut direct = WindowResults::new();
-        tcp.process_batch(&window, &mut tcp_ctx, &mut over_wire, DecodeSink::Summary);
-        WideTarget.process_batch(&window, &mut ref_ctx, &mut direct, DecodeSink::Summary);
+        tcp.process_batch(&window, &mut tcp_ctx, &mut over_wire);
+        WideTarget.process_batch(&window, &mut ref_ctx, &mut direct);
         let collect = |results: &WindowResults| -> Vec<(OutcomeSummary, peachstar_coverage::SparseTrace)> {
             results.iter().map(|(s, t)| (*s, t.clone())).collect()
         };

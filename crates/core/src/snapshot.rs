@@ -175,7 +175,7 @@ impl SnapshotMeta {
     /// [`Topology::Sharded`](crate::campaign::Topology::Sharded) campaign is
     /// fingerprinted (`sync_windows`); a sequential campaign has none.
     ///
-    /// Operational knobs — `exec_timeout`, `summary_only`, `transport`, the
+    /// Operational knobs — `exec_timeout`, `transport`, the
     /// worker/connection count, the `reconnect` policy, server-side
     /// `wire_chaos` injection, and the service flags (`--control`,
     /// `--keep-checkpoints`) — are deliberately excluded: they never change
@@ -1167,7 +1167,7 @@ mod tests {
     fn operational_knobs_stay_out_of_the_fingerprint() {
         // Service and transport-recovery flags must never fence a resume:
         // configs differing only in reconnect schedule, wire chaos, exec
-        // timeout, summary mode, transport or worker count fingerprint
+        // timeout, transport or worker count fingerprint
         // identically (the rotation depth and `--control` address never
         // even reach the config).
         use crate::campaign::{CampaignConfig, ReconnectPolicy, Topology, TransportMode};
@@ -1182,7 +1182,6 @@ mod tests {
             base.wire_chaos(peachstar_protocols::WireChaos::drop_every(5).reject_after_drop(3)),
             base.transport(TransportMode::FramedTcp),
             base.exec_timeout_ms(50),
-            base.summary_only(),
         ];
         for (index, variant) in variants.iter().enumerate() {
             let meta = SnapshotMeta::for_campaign("libmodbus", variant);

@@ -212,10 +212,10 @@ impl Target for ChaosTarget {
         }
     }
 
-    // `process_batch` deliberately keeps the default per-packet loop: the
-    // batched fast paths of the inner targets would bypass the injection
-    // point, and a window must misbehave on exactly the packets a
-    // sequential run would.
+    // `process_batch` is the trait's default loop over `process` above, so
+    // every packet of a window passes the injection point and a window
+    // misbehaves on exactly the packets a sequential run would. Delegating
+    // to the inner target's `process_batch` would bypass it.
 
     fn reset(&mut self) {
         self.inner.reset();

@@ -58,7 +58,7 @@ use std::sync::{Mutex, OnceLock};
 use peachstar_coverage::{SparseTrace, TraceContext, TraceMap};
 use peachstar_datamodel::DataModelSet;
 
-pub use prescan::{FrameSpec, PrescanScratch};
+pub use prescan::FrameSpec;
 pub use server::{serve, serve_with_chaos, ServerHandle, WireChaos};
 pub use sink::DecodeSink;
 pub use wire::{FrameReassembler, MessageStream, WireFraming};
@@ -226,7 +226,6 @@ pub struct WindowResults {
     summaries: Vec<OutcomeSummary>,
     traces: Vec<SparseTrace>,
     len: usize,
-    prescan: PrescanScratch,
 }
 
 impl WindowResults {
@@ -286,21 +285,6 @@ impl WindowResults {
         self.summaries[..self.len]
             .iter()
             .zip(&self.traces[..self.len])
-    }
-
-    /// Detaches the pooled [`PrescanScratch`] so a `process_batch` override
-    /// can prescan the window while recording into this buffer (the borrow
-    /// checker would reject holding both through one `&mut self`). Pair
-    /// with [`return_prescan`](WindowResults::return_prescan) so the
-    /// verdict allocation survives into the next window.
-    #[must_use]
-    pub fn take_prescan(&mut self) -> PrescanScratch {
-        std::mem::take(&mut self.prescan)
-    }
-
-    /// Returns a detached [`PrescanScratch`] to the pool.
-    pub fn return_prescan(&mut self, scratch: PrescanScratch) {
-        self.prescan = scratch;
     }
 
     /// Moves the recorded results out of the buffer, in execution order,
@@ -391,40 +375,32 @@ pub trait Target {
     /// replacing `out`'s previous contents with one `(summary, snapshot)`
     /// pair per packet in execution order.
     ///
-    /// The default implementation loops [`process`](Target::process) —
-    /// resetting `ctx` before each packet and restarting the target after a
-    /// fault, exactly as the per-execution executor does — so every target
-    /// supports batching out of the box. Servers can override it to hoist
-    /// per-packet setup out of the loop: the override runs its packet loop
-    /// with *static* dispatch (one virtual call per window instead of one
-    /// per packet), and can prevalidate window-constant framing with the
-    /// vectorised [`prescan`] substrate in a tight prepass over the
-    /// headers.
+    /// The body loops [`process`](Target::process), resetting `ctx` before
+    /// each packet and restarting the target after a fault, exactly as the
+    /// per-execution executor does. Rust instantiates this default body
+    /// separately for every implementing type, so its `process` calls are
+    /// statically dispatched: a window costs one virtual call, not one per
+    /// packet.
     ///
-    /// `sink` selects the output fidelity for the whole window (see
-    /// [`DecodeSink`]): [`DecodeSink::Summary`] skips response assembly and
-    /// error-string formatting, which `out` never records anyway. An
-    /// override must arm the sink around its packet loop exactly like the
-    /// default implementation does.
+    /// `out` keeps only an [`OutcomeSummary`] per packet, so the loop runs
+    /// under the [`DecodeSink::Summary`] sink, which skips response
+    /// assembly and error-string formatting but keeps every branch, state
+    /// mutation and recorded edge.
     ///
     /// # Contract
     ///
     /// For every packet the recorded outcome and trace must be **identical**
     /// to what a [`process`](Target::process) loop over the same packets
     /// would record — batched campaigns are required to be bit-identical to
-    /// sequential ones, so an override must not skip or reorder any
-    /// instrumented work whose edges land in the trace, and the sink may
-    /// only elide payload bytes, never an outcome variant or a state
-    /// mutation. After a [`Outcome::Fault`] the target must restart itself
-    /// (via [`reset`](Target::reset)) before the next packet.
+    /// sequential ones. After a [`Outcome::Fault`] the target must restart
+    /// itself (via [`reset`](Target::reset)) before the next packet.
     fn process_batch(
         &mut self,
         packets: &[&[u8]],
         ctx: &mut TraceContext,
         out: &mut WindowResults,
-        sink: DecodeSink,
     ) {
-        let _armed = sink.arm();
+        let _armed = DecodeSink::Summary.arm();
         out.begin();
         for packet in packets {
             ctx.reset();
@@ -675,11 +651,10 @@ mod tests {
     #[test]
     fn process_batch_matches_a_sequential_process_loop() {
         // The batched entry point's contract: per-packet outcomes and trace
-        // snapshots are identical to looping `process`, for the default
-        // implementation and for every override (modbus and iec104 ship
-        // devirtualised overrides with a framing prescan). Drive each target
-        // with a window mixing well-formed packets, malformed frames and
-        // repeats, comparing against an independent per-packet loop.
+        // snapshots are identical to looping `process`, although the batch
+        // decodes under the summary sink. Drive each target with a window
+        // mixing well-formed packets, malformed frames and repeats,
+        // comparing against an independent full-decode per-packet loop.
         use peachstar_datamodel::emit::emit_default;
         for id in TargetId::ALL {
             let mut sequential = id.create();
@@ -719,24 +694,13 @@ mod tests {
             let mut results = WindowResults::new();
             // Two rounds through the same pooled buffer: the second proves
             // `begin` + pooled snapshots leave no stale state behind.
-            batched.process_batch(&refs, &mut ctx, &mut results, DecodeSink::Full);
+            batched.process_batch(&refs, &mut ctx, &mut results);
             batched.reset();
-            batched.process_batch(&refs, &mut ctx, &mut results, DecodeSink::Full);
+            batched.process_batch(&refs, &mut ctx, &mut results);
             assert_eq!(results.len(), window.len(), "{id}");
             for (index, (summary, trace)) in results.iter().enumerate() {
                 assert_eq!(*summary, expected[index].0, "{id}: packet {index} outcome");
                 assert_eq!(*trace, expected[index].1, "{id}: packet {index} trace");
-            }
-
-            // The summary sink must record the same summaries and traces —
-            // it only skips payload construction, which `WindowResults`
-            // never stores. Third round through the pooled buffer.
-            let mut summary_target = id.create();
-            summary_target.process_batch(&refs, &mut ctx, &mut results, DecodeSink::Summary);
-            assert_eq!(results.len(), window.len(), "{id} (summary)");
-            for (index, (summary, trace)) in results.iter().enumerate() {
-                assert_eq!(*summary, expected[index].0, "{id}: packet {index} summary-sink outcome");
-                assert_eq!(*trace, expected[index].1, "{id}: packet {index} summary-sink trace");
             }
         }
     }

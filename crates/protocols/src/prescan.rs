@@ -1,48 +1,22 @@
-//! Vectorised framing prescans: window-level header validation for the
-//! batched decode path.
+//! The scalar framing oracle: stateless header checks for every built-in
+//! wire framing.
 //!
-//! A batched window hands a target its packets all at once, so the pure,
-//! stateless part of frame validation — start bytes, declared-vs-actual
-//! lengths, link CRCs — can be hoisted out of the per-packet decode loop
-//! into one tight prepass over the headers. This module is that prepass,
-//! shared by all six targets: one [`FrameSpec`] per wire framing, a scalar
-//! reference predicate ([`FrameSpec::check`]), and a chunked batch
-//! validator ([`FrameSpec::prescan_into`]) shaped for LLVM's
-//! autovectoriser.
-//!
-//! # Vectorisation shape
-//!
-//! The batch validator processes [`LANES`] (16) packets per inner loop: the
-//! fixed-offset header bytes are first *gathered* into per-offset columns
-//! (`[[u8; LANES]; H]`, a structure-of-arrays transpose), then every check
-//! runs as a branch-free mask loop over the lanes —
-//! `ok[lane] &= u8::from(condition)` — which LLVM lowers to packed SIMD
-//! compares (`pcmpeqb`/`pcmpeqd` on x86_64) with no per-packet branches.
-//! The DNP3 link CRC runs the same way: sixteen CRC registers advance in
-//! lock-step through the gathered header columns. No unstable intrinsics,
-//! no `unsafe`: plain fixed-length array loops the optimiser can prove
-//! bound-free. The remainder of a window (fewer than [`LANES`] packets)
-//! falls back to the scalar predicate, which is also the oracle the
-//! property tests compare the chunked kernels against.
-//!
-//! This file is deliberately self-contained (no imports from the rest of
-//! the crate or its dependencies) so the codegen smoke test can compile
-//! *exactly this source* standalone (`rustc -C opt-level=3 --emit asm`) and
-//! assert the packed compares are really emitted.
+//! Each [`FrameSpec`] names one framing the six targets speak, and
+//! [`FrameSpec::check`] tests a packet's start bytes, declared-vs-actual
+//! length and (for DNP3) link-header CRC. Nothing on the campaign path
+//! calls it: it is the judge the property tests hold the decoders and the
+//! TPKT framer against (`tests/prescan_framing.rs`,
+//! `tests/wire_framing.rs`).
 //!
 //! # Contract with the decoders
 //!
-//! A prescan verdict is one-directional: `false` means the target's decoder
-//! is guaranteed to reject the packet as a protocol error *from any state*;
-//! `true` promises nothing (stateful checks still run in the decoder). The
-//! debug builds of every `process_batch` override assert exactly this
-//! direction against the real decoder on every packet.
+//! A verdict is one-directional: `false` means the target's decoder is
+//! guaranteed to reject the packet as a protocol error *from any state*;
+//! `true` promises nothing (stateful checks still run in the decoder).
 
-/// Packets validated per inner-loop iteration of the chunked kernels: the
-/// `u8x16` lane width every SSE2-class vector unit natively supports.
-pub const LANES: usize = 16;
+use peachstar_datamodel::checksum::crc16_dnp;
 
-/// The wire framings the six built-in targets prevalidate.
+/// The wire framings of the six built-in targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameSpec {
     /// Modbus/TCP MBAP: protocol id 0, declared length, unit id 0/1.
@@ -60,11 +34,8 @@ pub enum FrameSpec {
 }
 
 impl FrameSpec {
-    /// Scalar reference predicate: `true` when `packet`'s framing passes
-    /// every stateless header check of this spec.
-    ///
-    /// This is the oracle the vectorised kernels are tested against, and
-    /// the fallback for a window's sub-[`LANES`] remainder.
+    /// `true` when `packet`'s framing passes every stateless header check
+    /// of this spec.
     #[must_use]
     pub fn check(self, packet: &[u8]) -> bool {
         let len = packet.len();
@@ -103,187 +74,6 @@ impl FrameSpec {
             }
         }
     }
-
-    /// Validates a whole window, replacing `verdicts` with one bool per
-    /// packet (in order): [`LANES`]-packet chunks go through the
-    /// vectorised kernels, the remainder through [`check`](Self::check).
-    ///
-    /// `verdicts` is a caller-pooled buffer (see [`PrescanScratch`]):
-    /// steady-state windows revalidate without allocating.
-    pub fn prescan_into(self, packets: &[&[u8]], verdicts: &mut Vec<bool>) {
-        verdicts.clear();
-        verdicts.reserve(packets.len());
-        let mut chunks = packets.chunks_exact(LANES);
-        let mut ok = [0u8; LANES];
-        for chunk in &mut chunks {
-            match self {
-                FrameSpec::Mbap => {
-                    let (bytes, lens) = gather::<7>(chunk);
-                    mbap_chunk(&bytes, &lens, &mut ok);
-                }
-                FrameSpec::Apci => {
-                    let (bytes, lens) = gather::<2>(chunk);
-                    apci_chunk(&bytes, &lens, &mut ok);
-                }
-                FrameSpec::Dnp3Link => {
-                    let (bytes, lens) = gather::<10>(chunk);
-                    dnp3_chunk(&bytes, &lens, &mut ok);
-                }
-                FrameSpec::Iccp => {
-                    let (bytes, lens) = gather::<5>(chunk);
-                    iccp_chunk(&bytes, &lens, &mut ok);
-                }
-                FrameSpec::TpktCotp => {
-                    let (bytes, lens) = gather::<6>(chunk);
-                    tpkt_cotp_chunk(&bytes, &lens, &mut ok);
-                }
-            }
-            verdicts.extend(ok.iter().map(|&bit| bit != 0));
-        }
-        for packet in chunks.remainder() {
-            verdicts.push(self.check(packet));
-        }
-    }
-}
-
-/// A pooled prescan verdict buffer: `run` revalidates a window in place, so
-/// a batched campaign's steady-state prescans are allocation-free.
-#[derive(Debug, Default)]
-pub struct PrescanScratch {
-    verdicts: Vec<bool>,
-}
-
-impl PrescanScratch {
-    /// Creates an empty scratch buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Prescans `packets` under `spec`, returning one verdict per packet in
-    /// order. The backing buffer is reused across calls.
-    pub fn run(&mut self, spec: FrameSpec, packets: &[&[u8]]) -> &[bool] {
-        spec.prescan_into(packets, &mut self.verdicts);
-        &self.verdicts
-    }
-}
-
-/// Transposes one [`LANES`]-packet chunk into per-offset header columns
-/// plus saturated lengths: `bytes[offset][lane]` is packet `lane`'s byte at
-/// `offset` (0 past the end — every kernel masks short packets out on
-/// length first), `lens[lane]` its length clamped to `u32::MAX`.
-#[inline]
-fn gather<const H: usize>(chunk: &[&[u8]]) -> ([[u8; LANES]; H], [u32; LANES]) {
-    let mut bytes = [[0u8; LANES]; H];
-    let mut lens = [0u32; LANES];
-    for (lane, packet) in chunk.iter().enumerate() {
-        lens[lane] = u32::try_from(packet.len()).unwrap_or(u32::MAX);
-        for (offset, row) in bytes.iter_mut().enumerate() {
-            row[lane] = packet.get(offset).copied().unwrap_or(0);
-        }
-    }
-    (bytes, lens)
-}
-
-/// Big-endian u16 at `(hi, lo)` widened per lane.
-#[inline]
-fn be16(hi: &[u8; LANES], lo: &[u8; LANES], lane: usize) -> u32 {
-    (u32::from(hi[lane]) << 8) | u32::from(lo[lane])
-}
-
-/// MBAP header lanes: `len >= 8`, protocol id 0, declared length + 6 ==
-/// frame length, unit id 0 or 1.
-#[inline]
-fn mbap_chunk(bytes: &[[u8; LANES]; 7], lens: &[u32; LANES], ok: &mut [u8; LANES]) {
-    for lane in 0..LANES {
-        ok[lane] = u8::from(lens[lane] >= 8)
-            & u8::from(be16(&bytes[2], &bytes[3], lane) == 0)
-            & u8::from(be16(&bytes[4], &bytes[5], lane) + 6 == lens[lane])
-            & u8::from(bytes[6][lane] <= 1);
-    }
-}
-
-/// APCI lanes: 0x68 start, APDU length >= 4 and covering the whole frame.
-/// (`length + 2 == len` instead of `length == len - 2`: no underflow lane.)
-#[inline]
-fn apci_chunk(bytes: &[[u8; LANES]; 2], lens: &[u32; LANES], ok: &mut [u8; LANES]) {
-    for lane in 0..LANES {
-        ok[lane] = u8::from(lens[lane] >= 6)
-            & u8::from(bytes[0][lane] == 0x68)
-            & u8::from(bytes[1][lane] >= 4)
-            & u8::from(u32::from(bytes[1][lane]) + 2 == lens[lane]);
-    }
-}
-
-/// DNP3 link-layer lanes: 0x0564 sync, length field >= 5, and the header
-/// CRC — sixteen CRC registers advancing in lock-step down the gathered
-/// header columns, so even the CRC check is a packed-lane loop.
-#[inline]
-fn dnp3_chunk(bytes: &[[u8; LANES]; 10], lens: &[u32; LANES], ok: &mut [u8; LANES]) {
-    let mut crc = [0u16; LANES];
-    for row in &bytes[..8] {
-        for lane in 0..LANES {
-            crc[lane] ^= u16::from(row[lane]);
-        }
-        for _ in 0..8 {
-            for register in crc.iter_mut() {
-                let mask = (*register & 1).wrapping_neg();
-                *register = (*register >> 1) ^ (0xa6bc & mask);
-            }
-        }
-    }
-    for lane in 0..LANES {
-        let stored = u32::from(bytes[8][lane]) | (u32::from(bytes[9][lane]) << 8);
-        ok[lane] = u8::from(lens[lane] >= 10)
-            & u8::from(bytes[0][lane] == 0x05)
-            & u8::from(bytes[1][lane] == 0x64)
-            & u8::from(bytes[2][lane] >= 5)
-            & u8::from(u32::from(!crc[lane]) == stored);
-    }
-}
-
-/// ICCP transport lanes: "T2" magic and declared length + 5 == frame
-/// length.
-#[inline]
-fn iccp_chunk(bytes: &[[u8; LANES]; 5], lens: &[u32; LANES], ok: &mut [u8; LANES]) {
-    for lane in 0..LANES {
-        ok[lane] = u8::from(lens[lane] >= 5)
-            & u8::from(bytes[0][lane] == 0x54)
-            & u8::from(bytes[1][lane] == 0x32)
-            & u8::from(be16(&bytes[3], &bytes[4], lane) + 5 == lens[lane]);
-    }
-}
-
-/// TPKT/COTP lanes: TPKT version 3, declared length == frame length, and a
-/// COTP DT header (length indicator >= 2 fitting in the frame, code 0xF0).
-#[inline]
-fn tpkt_cotp_chunk(bytes: &[[u8; LANES]; 6], lens: &[u32; LANES], ok: &mut [u8; LANES]) {
-    for lane in 0..LANES {
-        ok[lane] = u8::from(lens[lane] >= 7)
-            & u8::from(bytes[0][lane] == 0x03)
-            & u8::from(bytes[1][lane] == 0x00)
-            & u8::from(be16(&bytes[2], &bytes[3], lane) == lens[lane])
-            & u8::from(bytes[4][lane] >= 2)
-            & u8::from(u32::from(bytes[4][lane]) + 5 <= lens[lane])
-            & u8::from(bytes[5][lane] == 0xF0);
-    }
-}
-
-/// DNP3 link-layer CRC-16 (reflected polynomial 0xA6BC, init 0, output
-/// complemented) — a local copy of `peachstar_datamodel::checksum::
-/// crc16_dnp`, duplicated so this file stays dependency-free for the
-/// standalone codegen smoke test (a unit test pins the two equal).
-#[must_use]
-fn crc16_dnp(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0x0000;
-    for &byte in data {
-        crc ^= u16::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xa6bc & mask);
-        }
-    }
-    !crc
 }
 
 #[cfg(test)]
@@ -297,14 +87,6 @@ mod tests {
         FrameSpec::Iccp,
         FrameSpec::TpktCotp,
     ];
-
-    #[test]
-    fn local_crc_matches_the_datamodel_crc() {
-        assert_eq!(crc16_dnp(b"123456789"), 0xEA82);
-        for data in [&b""[..], &[0x05, 0x64, 0x05, 0xC0, 0x01, 0x00, 0x00, 0x04]] {
-            assert_eq!(crc16_dnp(data), peachstar_datamodel::checksum::crc16_dnp(data));
-        }
-    }
 
     #[test]
     fn known_good_frames_pass_their_spec() {
@@ -341,51 +123,4 @@ mod tests {
         assert!(!FrameSpec::Dnp3Link.check(&dnp));
     }
 
-    #[test]
-    fn chunked_kernels_match_the_scalar_oracle_on_awkward_windows() {
-        // Deterministic pseudo-random packets: lengths straddling every
-        // header size, plus deliberate near-misses (right magic, wrong
-        // length and vice versa). Window sizes cover empty, sub-chunk,
-        // exact-chunk and chunk+remainder shapes.
-        let mut state = 0x9E37_79B9_u32;
-        let mut step = move || {
-            state = state.wrapping_mul(0x0001_9660D).wrapping_add(0x3C6E_F35F);
-            state
-        };
-        let mut packets: Vec<Vec<u8>> = Vec::new();
-        for _ in 0..200 {
-            let len = (step() % 24) as usize;
-            let mut packet: Vec<u8> = (0..len).map(|_| (step() >> 13) as u8).collect();
-            if len >= 2 && step() % 3 == 0 {
-                // Plant plausible magics so verdicts are not all-false.
-                let magic = [[0x68, 0x04], [0x05, 0x64], [0x54, 0x32], [0x03, 0x00], [0x00, 0x00]]
-                    [(step() % 5) as usize];
-                packet[0] = magic[0];
-                packet[1] = magic[1];
-            }
-            packets.push(packet);
-        }
-        let refs: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
-        let mut scratch = PrescanScratch::new();
-        for spec in SPECS {
-            for window in [0, 1, 15, 16, 17, 32, 200] {
-                let window = &refs[..window];
-                let expected: Vec<bool> = window.iter().map(|p| spec.check(p)).collect();
-                assert_eq!(
-                    scratch.run(spec, window),
-                    expected.as_slice(),
-                    "{spec:?}: chunked kernel diverged from the scalar oracle"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_is_reused_and_rewound() {
-        let mut scratch = PrescanScratch::new();
-        let long: Vec<&[u8]> = vec![&[0u8; 4]; 40];
-        assert_eq!(scratch.run(FrameSpec::Mbap, &long).len(), 40);
-        let short: Vec<&[u8]> = vec![&[0x68, 0x04, 0x07, 0x00, 0x00, 0x00]; 2];
-        assert_eq!(scratch.run(FrameSpec::Apci, &short), &[true, true]);
-    }
 }

@@ -15,8 +15,9 @@
 //!   the target from the spare and becomes a [`panic_fault`] outcome → a
 //!   fault outcome triggers `target.reset()` — the exact sequence of the
 //!   in-process `TargetExecutor` and its watchdog worker.
-//! * **Batch**: the requested [`DecodeSink`](crate::DecodeSink) is armed around a *per-packet
-//!   contained loop* (never a whole-window `process_batch` call). This is
+//! * **Batch**: the [`DecodeSink::Summary`] sink is armed
+//!   around a *per-packet contained loop* (never a whole-window
+//!   `process_batch` call); the reply carries summaries only. This is
 //!   deliberate: the in-process engines fall back to exactly this per-packet
 //!   contained sequence whenever a window fails (executor rebuild-and-finish,
 //!   sharded failed-window re-execution), and for windows that *don't* fail
@@ -47,7 +48,7 @@ use peachstar_coverage::TraceContext;
 
 use crate::containment::{contained, panic_fault};
 use crate::wire::{response_runs, MessageStream, Request, Response, WireFraming};
-use crate::{Outcome, OutcomeSummary, Target};
+use crate::{DecodeSink, Outcome, OutcomeSummary, Target};
 
 /// Deterministic server-side failure injection for [`serve_with_chaos`]:
 /// the wire-level counterpart of [`ChaosTarget`](crate::chaos::ChaosTarget).
@@ -277,8 +278,8 @@ fn handle_connection(
                 let (outcome, trace) = execute_one(&mut target, &*spare, &mut ctx, &packet);
                 Response::Process(outcome, trace)
             }
-            Request::Batch { sink, packets } => {
-                let _armed = sink.arm();
+            Request::Batch(packets) => {
+                let _armed = DecodeSink::Summary.arm();
                 records.clear();
                 for packet in &packets {
                     let (outcome, trace) = execute_one(&mut target, &*spare, &mut ctx, packet);
@@ -370,10 +371,7 @@ mod tests {
         let Response::Batch(records) = roundtrip(
             &mut stream,
             &mut messages,
-            &Request::Batch {
-                sink: crate::DecodeSink::Full,
-                packets: packets.clone(),
-            },
+            &Request::Batch(packets.clone()),
         ) else {
             panic!("expected a batch response");
         };

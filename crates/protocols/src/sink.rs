@@ -1,18 +1,18 @@
-//! The decode-output seam: full-fidelity vs. summary-only decoding.
+//! The decode-output seam: full-fidelity vs. summary decoding.
 //!
-//! Batched campaigns record one [`OutcomeSummary`](crate::OutcomeSummary)
+//! Batched windows record one [`OutcomeSummary`](crate::OutcomeSummary)
 //! per execution — the outcome *variant* plus the fault record — and throw
-//! the response bytes and rejection strings away immediately. Yet every
-//! decoder historically paid for them: `format!`-ed error reasons,
-//! `Vec`-assembled response frames, all constructed only to be summarised
-//! and dropped. [`DecodeSink`] names the two fidelities, and the free
-//! functions in this module are the *only* places a decoder builds output
-//! payloads, so switching the sink switches all of them at once:
+//! the response bytes and rejection strings away immediately, so
+//! [`Target::process_batch`](crate::Target::process_batch) and the socket
+//! server's batch handler decode under [`DecodeSink::Summary`]: nothing
+//! reads their payloads. Decoders build those payloads only through the
+//! free functions in this module, so the armed [`DecodeSink`] switches all
+//! of them at once:
 //!
 //! * [`DecodeSink::Full`] builds every response and error string
-//!   bit-for-bit — the historical behaviour, required whenever outcome
-//!   payloads are inspected (the sequential engine, session handshakes,
-//!   replay, tests).
+//!   bit-for-bit — the default, used wherever outcome payloads can be
+//!   inspected (the per-packet engine, the watchdog worker, session
+//!   handshakes, replay, tests).
 //! * [`DecodeSink::Summary`] keeps the **identical control flow** — every
 //!   `cov_edge!` site, branch and state mutation fires exactly as before,
 //!   so recorded traces and `path_id`s are untouched by construction — but
@@ -25,9 +25,8 @@
 //! position) pinned. The guard restores the previous mode on drop, so panic
 //! containment (`catch_unwind` in the executor) and nested arming are safe.
 //!
-//! Debug builds can cross-check the two fidelities end to end with
-//! [`debug_cross_check_sinks`]: both sinks run the same packet on fresh
-//! clones and must produce an identical summary and trace.
+//! `tests/batch_equivalence.rs` at the workspace root holds whole batched
+//! and sharded campaigns equal to full-decode runs of the same config.
 
 use std::cell::Cell;
 use std::fmt;
@@ -178,37 +177,6 @@ pub fn response_vec(bytes: Vec<u8>) -> Outcome {
     }
 }
 
-/// Debug-build cross-check of the sink seam: runs `packet` on two fresh
-/// clones of `target`, one per sink, and asserts the recorded
-/// [`OutcomeSummary`](crate::OutcomeSummary) and trace are identical.
-///
-/// Batched executors call this on a sampled packet per window when decoding
-/// in summary mode, so every debug campaign continuously re-proves the
-/// bit-identity argument on real campaign traffic.
-#[cfg(debug_assertions)]
-pub fn debug_cross_check_sinks(target: &dyn crate::Target, packet: &[u8]) {
-    use peachstar_coverage::TraceContext;
-    let run = |sink: DecodeSink| {
-        let mut fresh = target.clone_fresh();
-        let mut ctx = TraceContext::new();
-        let _armed = sink.arm();
-        let outcome = fresh.process(packet, &mut ctx);
-        (crate::OutcomeSummary::from(&outcome), ctx.trace().to_sparse())
-    };
-    let full = run(DecodeSink::Full);
-    let summary = run(DecodeSink::Summary);
-    assert_eq!(
-        full.0, summary.0,
-        "{}: summary sink changed the outcome of {packet:02x?}",
-        target.name()
-    );
-    assert_eq!(
-        full.1, summary.1,
-        "{}: summary sink changed the trace of {packet:02x?}",
-        target.name()
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +228,25 @@ mod tests {
         );
     }
 
-    #[cfg(debug_assertions)]
+    /// Runs `packet` on two fresh clones of `target`, one per sink, and
+    /// asserts the recorded summary and trace are identical.
+    fn cross_check_sinks(target: &dyn crate::Target, packet: &[u8]) {
+        use peachstar_coverage::TraceContext;
+        let run = |sink: DecodeSink| {
+            let mut fresh = target.clone_fresh();
+            let mut ctx = TraceContext::new();
+            let _armed = sink.arm();
+            let outcome = fresh.process(packet, &mut ctx);
+            (crate::OutcomeSummary::from(&outcome), ctx.trace().to_sparse())
+        };
+        assert_eq!(
+            run(DecodeSink::Full),
+            run(DecodeSink::Summary),
+            "{}: the summary sink changed the outcome or trace of {packet:02x?}",
+            target.name()
+        );
+    }
+
     #[test]
     fn cross_check_accepts_every_target_on_mixed_traffic() {
         use peachstar_datamodel::emit::emit_default;
@@ -275,7 +261,7 @@ mod tests {
             packets.push(Vec::new());
             packets.push(vec![0xFF; 3]);
             for packet in &packets {
-                debug_cross_check_sinks(target.as_ref(), packet);
+                cross_check_sinks(target.as_ref(), packet);
             }
         }
     }

@@ -15,7 +15,7 @@
 //!    packet (65 535 bytes total) are segmented into a chain of DT TPDUs
 //!    whose last — and only the last — sets the EOT bit `0x80`. Every frame
 //!    this framer emits satisfies the
-//!    [`FrameSpec::TpktCotp`](crate::prescan::FrameSpec) prescan oracle
+//!    [`FrameSpec::TpktCotp`](crate::prescan::FrameSpec) framing oracle
 //!    (`crates/protocols/tests/wire_framing.rs` proves the agreement by
 //!    property test).
 //! 2. **Messages** ([`Request`], [`Response`]): the transport protocol
@@ -36,7 +36,7 @@ use std::io::{self, Read, Write};
 
 use peachstar_coverage::SparseTrace;
 
-use crate::{intern_site, DecodeSink, Fault, FaultKind, Outcome, OutcomeSummary};
+use crate::{intern_site, Fault, FaultKind, Outcome, OutcomeSummary};
 
 /// TPKT version byte (RFC 1006).
 const TPKT_VERSION: u8 = 0x03;
@@ -332,15 +332,14 @@ impl MessageStream {
 
 // === Message payload codec =================================================
 
-/// Bytes of a [`Request::Batch`] message before its packets: tag, sink, count.
-const BATCH_REQUEST_HEADER: usize = 6;
-/// Bytes of a [`Response::Batch`] message before its records: tag, count.
-const BATCH_RESPONSE_HEADER: usize = 5;
+/// Bytes of a [`Request::Batch`] or [`Response::Batch`] message before its
+/// packets or records: tag, count.
+const BATCH_HEADER: usize = 5;
 
 /// Splits a window's packets into consecutive runs whose [`Request::Batch`]
 /// encoding fits in [`MAX_MESSAGE`]. An empty window is one empty run.
 pub fn request_runs<P: AsRef<[u8]>>(packets: &[P]) -> impl Iterator<Item = &[P]> {
-    runs(packets, BATCH_REQUEST_HEADER, |packet| 4 + packet.as_ref().len())
+    runs(packets, BATCH_HEADER, |packet| 4 + packet.as_ref().len())
 }
 
 /// Splits a window's records into consecutive runs whose [`Response::Batch`]
@@ -348,7 +347,7 @@ pub fn request_runs<P: AsRef<[u8]>>(packets: &[P]) -> impl Iterator<Item = &[P]>
 pub fn response_runs(
     records: &[(OutcomeSummary, SparseTrace)],
 ) -> impl Iterator<Item = &[(OutcomeSummary, SparseTrace)]> {
-    runs(records, BATCH_RESPONSE_HEADER, |(summary, trace)| {
+    runs(records, BATCH_HEADER, |(summary, trace)| {
         let summary = match summary {
             OutcomeSummary::Response | OutcomeSummary::ProtocolError => 1,
             OutcomeSummary::Fault(fault) => 2 + 4 + fault.site.len(),
@@ -391,14 +390,9 @@ const RESP_RESET: u8 = 0x83;
 pub enum Request {
     /// Process one packet ([`Target::process`](crate::Target::process)).
     Process(Vec<u8>),
-    /// Process one reset-aligned window of packets under the given decode
-    /// sink ([`Target::process_batch`](crate::Target::process_batch)).
-    Batch {
-        /// Output fidelity the server decodes under.
-        sink: DecodeSink,
-        /// The window's packets, in execution order.
-        packets: Vec<Vec<u8>>,
-    },
+    /// Process one reset-aligned window of packets, in execution order
+    /// ([`Target::process_batch`](crate::Target::process_batch)).
+    Batch(Vec<Vec<u8>>),
     /// Reset the connection's target to the just-started state
     /// ([`Target::reset`](crate::Target::reset)).
     Reset,
@@ -573,12 +567,8 @@ impl Request {
                 out.push(REQ_PROCESS);
                 put_bytes(out, packet);
             }
-            Request::Batch { sink, packets } => {
+            Request::Batch(packets) => {
                 out.push(REQ_BATCH);
-                out.push(match sink {
-                    DecodeSink::Full => 0,
-                    DecodeSink::Summary => 1,
-                });
                 let count = u32::try_from(packets.len()).expect("window fits in u32");
                 out.extend_from_slice(&count.to_le_bytes());
                 for packet in packets {
@@ -599,17 +589,12 @@ impl Request {
         let request = match reader.u8()? {
             REQ_PROCESS => Request::Process(reader.bytes()?.to_vec()),
             REQ_BATCH => {
-                let sink = match reader.u8()? {
-                    0 => DecodeSink::Full,
-                    1 => DecodeSink::Summary,
-                    _ => return Err(WireError("unknown decode sink")),
-                };
                 let count = reader.u32()? as usize;
                 let mut packets = Vec::with_capacity(count.min(1 << 16));
                 for _ in 0..count {
                     packets.push(reader.bytes()?.to_vec());
                 }
-                Request::Batch { sink, packets }
+                Request::Batch(packets)
             }
             REQ_RESET => Request::Reset,
             _ => return Err(WireError("unknown request tag")),
@@ -842,9 +827,9 @@ mod tests {
         let mut payload = Vec::new();
         let mut joined = Vec::new();
         for run in request_runs(&packets) {
-            Request::Batch { sink: DecodeSink::Summary, packets: run.to_vec() }.encode_into(&mut payload);
+            Request::Batch(run.to_vec()).encode_into(&mut payload);
             assert!(payload.len() <= MAX_MESSAGE, "{} bytes", payload.len());
-            let Request::Batch { packets: decoded, .. } = Request::decode(&payload).unwrap() else {
+            let Request::Batch(decoded) = Request::decode(&payload).unwrap() else {
                 panic!("batch request");
             };
             joined.extend(decoded);
@@ -887,10 +872,7 @@ mod tests {
         let requests = [
             Request::Process(vec![1, 2, 3]),
             Request::Process(Vec::new()),
-            Request::Batch {
-                sink: DecodeSink::Summary,
-                packets: vec![vec![0xFF; 9], Vec::new(), vec![7]],
-            },
+            Request::Batch(vec![vec![0xFF; 9], Vec::new(), vec![7]]),
             Request::Reset,
         ];
         let mut buffer = Vec::new();

@@ -1,21 +1,19 @@
-//! Property suite pinning the prescan ↔ decoder framing agreement for all
+//! Property suite pinning the framing oracle ↔ decoder agreement for all
 //! six targets, over arbitrary byte strings and near-valid mutated traffic.
 //!
-//! The contract the batched fast path relies on (and debug builds assert per
-//! window): a frame the vectorised prescan rejects is *always* rejected by
-//! the decoder's own framing checks — the prescan is at least as permissive
-//! as the decoder, never stricter. The reverse direction deliberately does
-//! not hold (a well-framed packet can still fail semantic validation), so
-//! the decoder stays authoritative.
+//! The contract: a frame [`FrameSpec::check`] rejects is *always* rejected
+//! by the decoder's own framing checks — the oracle is at least as
+//! permissive as the decoder, never stricter. The reverse direction
+//! deliberately does not hold (a well-framed packet can still fail semantic
+//! validation), so the decoder stays authoritative.
 
 use proptest::prelude::*;
 
 use peachstar_coverage::TraceContext;
 use peachstar_datamodel::emit::emit_default;
-use peachstar_protocols::{FrameSpec, Outcome, PrescanScratch, TargetId};
+use peachstar_protocols::{FrameSpec, Outcome, TargetId};
 
-/// Each target paired with the framing specification its batched
-/// `process_batch` override prescans with.
+/// Each target paired with the framing specification of its wire format.
 const PAIRS: [(TargetId, FrameSpec); 6] = [
     (TargetId::Modbus, FrameSpec::Mbap),
     (TargetId::Iec104, FrameSpec::Apci),
@@ -47,7 +45,7 @@ fn mutated_defaults(target: TargetId, index: usize, mask: u8) -> Vec<Vec<u8>> {
 #[test]
 fn every_default_emission_passes_its_frame_spec() {
     // Non-vacuity anchor for the reject-direction properties below: the
-    // emitter's length/CRC fixups produce frames the prescan accepts, so the
+    // emitter's length/CRC fixups produce frames the oracle accepts, so the
     // mutated traffic genuinely straddles the boundary.
     for (target, spec) in PAIRS {
         let models = target.create().data_models();
@@ -65,7 +63,7 @@ fn every_default_emission_passes_its_frame_spec() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Arbitrary bytes: a prescan reject is always a decoder
+    /// Arbitrary bytes: an oracle reject is always a decoder
     /// `ProtocolError`, from the fresh state *and* from whatever state the
     /// first decode left behind (framing checks must be state-independent).
     #[test]
@@ -110,29 +108,6 @@ proptest! {
                     "{target}: decoder accepted a frame {spec:?} rejects: {packet:02x?}"
                 );
             }
-        }
-    }
-
-    /// The chunked (vectorisable) kernels agree with the scalar oracle on
-    /// arbitrary mixed windows — including the lane remainder and windows
-    /// built from near-valid traffic.
-    #[test]
-    fn chunked_prescan_matches_the_scalar_oracle_on_mixed_windows(
-        raw in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 0..40),
-        index in any::<usize>(),
-        mask in any::<u8>(),
-    ) {
-        let mut scratch = PrescanScratch::new();
-        for (target, spec) in PAIRS {
-            let mut packets = mutated_defaults(target, index, mask);
-            packets.extend(raw.iter().cloned());
-            let refs: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
-            let expected: Vec<bool> = refs.iter().map(|p| spec.check(p)).collect();
-            prop_assert_eq!(
-                scratch.run(spec, &refs),
-                &expected[..],
-                "{}: chunked kernels diverged from the scalar oracle", target
-            );
         }
     }
 }

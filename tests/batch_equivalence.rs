@@ -185,13 +185,35 @@ fn batched_session_peach_equals_sequential_session_campaign() {
 }
 
 #[test]
-fn summary_only_decode_never_changes_a_batched_report() {
-    // `summary_only` skips response assembly and error-string formatting
-    // inside the decoders — operational output the campaign loop never
-    // reads. Control flow, state and traces are identical by construction
-    // (debug builds cross-check a sampled packet per window), so every
-    // deterministic report field must match the full-decode run bit for bit
-    // — for every target, both strategies, and across batch sizes.
+fn summary_sink_never_changes_a_batched_or_sharded_report() {
+    // The batched and sharded fast paths decode under the summary sink,
+    // which skips response assembly and error-string formatting the
+    // campaign loop never reads. An armed watchdog moves every execution
+    // onto its own thread, one packet at a time, where the thread-local
+    // sink is the full one. Control flow, state and traces are identical
+    // by construction, so every deterministic report field must match bit
+    // for bit — for every target, both strategies, two batch sizes and
+    // two worker counts.
+    let fast_paths = [
+        ("batch 7", Topology::Sequential, 7),
+        ("batch 250", Topology::Sequential, 250),
+        (
+            "sharded 1 worker",
+            Topology::Sharded {
+                workers: 1,
+                sync_windows: 2,
+            },
+            64,
+        ),
+        (
+            "sharded 3 workers",
+            Topology::Sharded {
+                workers: 3,
+                sync_windows: 2,
+            },
+            64,
+        ),
+    ];
     for (target, seed) in [
         (TargetId::Modbus, 3),
         (TargetId::Iec104, 7),
@@ -201,40 +223,15 @@ fn summary_only_decode_never_changes_a_batched_report() {
         (TargetId::Iec61850, 13),
     ] {
         for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
-            for batch in [7, 250] {
-                let cfg = config(strategy, seed).batch(batch);
-                let full = deterministic(&Campaign::new(target.create(), cfg).run());
-                let summary =
-                    deterministic(&Campaign::new(target.create(), cfg.summary_only()).run());
-                assert_eq!(
-                    full, summary,
-                    "{strategy} on {target} seed {seed} batch {batch}: summary-only diverged"
+            for (label, topology, batch) in fast_paths {
+                let cfg = config(strategy, seed).batch(batch).topology(topology);
+                let summary = deterministic(&Campaign::new(target.create(), cfg).run());
+                let full = deterministic(
+                    &Campaign::new(target.create(), cfg.exec_timeout_ms(60_000)).run(),
                 );
-            }
-        }
-    }
-}
-
-#[test]
-fn summary_only_decode_never_changes_a_sharded_report() {
-    // The sharded engine arms the same sink on every worker's fast path;
-    // the merge barrier and recovery paths are untouched, so worker-count
-    // invariance and summary/full equality compose.
-    for (target, seed) in [(TargetId::Modbus, 11), (TargetId::Iec104, 5)] {
-        for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
-            for workers in [1, 3] {
-                let cfg = config(strategy, seed).batch(64);
-                let cfg = cfg.topology(Topology::Sharded {
-                    workers,
-                    sync_windows: 2,
-                });
-                let full = deterministic(&Campaign::new(target.create(), cfg).run());
-                let summary =
-                    deterministic(&Campaign::new(target.create(), cfg.summary_only()).run());
                 assert_eq!(
                     full, summary,
-                    "{strategy} on {target} seed {seed}, {workers} workers: \
-                     sharded summary-only diverged"
+                    "{strategy} on {target} seed {seed}, {label}: summary sink diverged"
                 );
             }
         }

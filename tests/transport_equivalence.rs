@@ -124,22 +124,16 @@ fn framed_tcp_campaign_equals_in_process_for_every_target() {
 fn framed_tcp_batched_campaign_equals_in_process() {
     // Batched windows ride the wire as one round-trip per window; summaries
     // and traces must reduce to the same records the per-packet loop makes.
-    for summary_only in [false, true] {
-        for (target, seed) in [(TargetId::Modbus, 3), (TargetId::Iec61850, 21)] {
-            let mut cfg = config(StrategyKind::PeachStar, seed).batch(128);
-            if summary_only {
-                cfg = cfg.summary_only();
-            }
-            let in_process = deterministic(&Campaign::new(target.create(), cfg).run());
-            let over_tcp = deterministic(
-                &Campaign::new(target.create(), cfg.transport(TransportMode::FramedTcp)).run(),
-            );
-            assert_eq!(
-                in_process, over_tcp,
-                "batched Peach* on {target:?} seed {seed} \
-                 (summary_only={summary_only}): TCP transport diverged"
-            );
-        }
+    for (target, seed) in [(TargetId::Modbus, 3), (TargetId::Iec61850, 21)] {
+        let cfg = config(StrategyKind::PeachStar, seed).batch(128);
+        let in_process = deterministic(&Campaign::new(target.create(), cfg).run());
+        let over_tcp = deterministic(
+            &Campaign::new(target.create(), cfg.transport(TransportMode::FramedTcp)).run(),
+        );
+        assert_eq!(
+            in_process, over_tcp,
+            "batched Peach* on {target:?} seed {seed}: TCP transport diverged"
+        );
     }
 }
 
