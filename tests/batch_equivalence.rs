@@ -184,54 +184,68 @@ fn batched_session_peach_equals_sequential_session_campaign() {
     }
 }
 
+/// Every target with a seed, for the summary-sink equality tests.
+const SUMMARY_CASES: [(TargetId, u64); 6] = [
+    (TargetId::Modbus, 3),
+    (TargetId::Iec104, 7),
+    (TargetId::Lib60870, 77),
+    (TargetId::Dnp3, 9),
+    (TargetId::Iccp, 42),
+    (TargetId::Iec61850, 13),
+];
+
+/// Runs `cfg` on its fast path (summary sink) and again with an armed
+/// watchdog, which moves every execution onto its own thread, one packet at
+/// a time, where the thread-local sink is the full one. Returns both reports
+/// as `(full, summary)`.
+fn full_and_summary(target: TargetId, cfg: CampaignConfig) -> (Deterministic, Deterministic) {
+    let summary = deterministic(&Campaign::new(target.create(), cfg).run());
+    let full =
+        deterministic(&Campaign::new(target.create(), cfg.exec_timeout_ms(60_000)).run());
+    (full, summary)
+}
+
 #[test]
-fn summary_sink_never_changes_a_batched_or_sharded_report() {
-    // The batched and sharded fast paths decode under the summary sink,
-    // which skips response assembly and error-string formatting the
-    // campaign loop never reads. An armed watchdog moves every execution
-    // onto its own thread, one packet at a time, where the thread-local
-    // sink is the full one. Control flow, state and traces are identical
-    // by construction, so every deterministic report field must match bit
-    // for bit — for every target, both strategies, two batch sizes and
-    // two worker counts.
-    let fast_paths = [
-        ("batch 7", Topology::Sequential, 7),
-        ("batch 250", Topology::Sequential, 250),
-        (
-            "sharded 1 worker",
-            Topology::Sharded {
-                workers: 1,
-                sync_windows: 2,
-            },
-            64,
-        ),
-        (
-            "sharded 3 workers",
-            Topology::Sharded {
-                workers: 3,
-                sync_windows: 2,
-            },
-            64,
-        ),
-    ];
-    for (target, seed) in [
-        (TargetId::Modbus, 3),
-        (TargetId::Iec104, 7),
-        (TargetId::Lib60870, 77),
-        (TargetId::Dnp3, 9),
-        (TargetId::Iccp, 42),
-        (TargetId::Iec61850, 13),
-    ] {
+fn summary_only_decode_never_changes_a_batched_report() {
+    // The batched fast path decodes under the summary sink, which skips
+    // response assembly and error-string formatting the campaign loop never
+    // reads. Control flow, state and traces are identical by construction,
+    // so every deterministic report field must match the full-decode run
+    // bit for bit — for every target, both strategies, and across batch
+    // sizes.
+    for (target, seed) in SUMMARY_CASES {
         for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
-            for (label, topology, batch) in fast_paths {
-                let cfg = config(strategy, seed).batch(batch).topology(topology);
-                let summary = deterministic(&Campaign::new(target.create(), cfg).run());
-                let full = deterministic(
-                    &Campaign::new(target.create(), cfg.exec_timeout_ms(60_000)).run(),
-                );
+            for batch in [7, 250] {
+                let cfg = config(strategy, seed).batch(batch);
+                let (full, summary) = full_and_summary(target, cfg);
                 assert_eq!(
                     full, summary,
-                    "{strategy} on {target} seed {seed}, {label}: summary sink diverged"
+                    "{strategy} on {target} seed {seed} batch {batch}: summary sink diverged"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn summary_only_decode_never_changes_a_sharded_report() {
+    // The sharded engine decodes under the same sink on every worker's fast
+    // path; the merge barrier and recovery paths are untouched, so
+    // worker-count invariance and summary/full equality compose.
+    for (target, seed) in SUMMARY_CASES {
+        for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
+            for workers in [1, 3] {
+                let cfg = config(strategy, seed)
+                    .batch(64)
+                    .topology(Topology::Sharded {
+                        workers,
+                        sync_windows: 2,
+                    });
+                let (full, summary) = full_and_summary(target, cfg);
+                assert_eq!(
+                    full, summary,
+                    "{strategy} on {target} seed {seed}, {workers} workers: \
+                     sharded summary sink diverged"
                 );
             }
         }
